@@ -26,6 +26,7 @@ from math import gcd, isqrt
 
 from .cayley import CayleyStructure
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
+from .fields import is_prime, prime_factors
 from .perms import PermGroup, full_conjugacy_classes
 
 CHARACTER_BOUND = 200
@@ -393,7 +394,7 @@ def _lifting_prime(m, n):
     floor = 2 * isqrt(n) + 1
     ell = m + 1
     while True:
-        if ell >= floor and _is_prime_small(ell):
+        if ell >= floor and is_prime(ell):
             return ell
         ell += m
         if ell > LIFTING_PRIME_CAP:
@@ -401,36 +402,14 @@ def _lifting_prime(m, n):
                 f"no lifting prime = 1 mod {m} below {LIFTING_PRIME_CAP}")
 
 
-def _is_prime_small(x):
-    if x < 2:
-        return False
-    for d in range(2, isqrt(x) + 1):
-        if x % d == 0:
-            return False
-    return True
-
-
 def _root_of_unity(ell, m):
     if (ell - 1) % m:
         raise InternalDefectError("prime does not support the required root")
     for g in range(2, ell):
         if all(pow(g, (ell - 1) // p, ell) != 1
-               for p in _prime_factors_small(ell - 1)):
+               for p in prime_factors(ell - 1)):
             return pow(g, (ell - 1) // m, ell)
     raise InternalDefectError("no primitive root found")
-
-
-def _prime_factors_small(x):
-    out, d = [], 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
-    return out
 
 
 # --------------------------------------------------- linear algebra over F_l

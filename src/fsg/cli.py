@@ -76,49 +76,11 @@ def _cmd_field(args):
     return out
 
 
-def _named_group(name, n):
-    from . import zoo
-    from .fields import make_field
-    from .matgroups import projective_action
-    name = name.lower()
-    if name in ("sym", "symmetric", "s"):
-        return zoo.symmetric(n)
-    if name in ("alt", "alternating", "a"):
-        return zoo.alternating(n)
-    if name in ("cyclic", "z"):
-        return zoo.cyclic(n)
-    if name in ("dihedral", "d"):
-        return zoo.dihedral(n)
-    if name in ("dicyclic", "qn"):
-        return zoo.dicyclic(n)
-    if name == "clifford":
-        return zoo.clifford(n)
-    if name == "clifford_even":
-        return zoo.clifford(n, even_only=True)
-    if name in ("vierergruppe", "v"):
-        return zoo.vierergruppe()
-    if name in ("quaternion", "q"):
-        return zoo.quaternion()
-    if name == "frobenius21":
-        return zoo.frobenius21()
-    if name in ("psl2", "pgl2", "psl3", "pgl3"):
-        variant = "PSL" if name.startswith("psl") else "PGL"
-        dim = int(name[-1])
-        from .fields import prime_factors
-        p = prime_factors(n)[0]
-        f = 0
-        q = n
-        while q > 1:
-            q //= p
-            f += 1
-        return projective_action(variant, dim, make_field(p, f))
-    raise ValidationError(f"unknown group name {name!r}")
-
-
 def _cmd_group(args):
     from .perms import (Permutation, conjugacy_classes, element_order_histogram,
                         group_from_generators, is_simple, orbit_partition,
                         structure_report, transitivity_degree)
+    from .zoo import construct_named
     if args.gens:
         perms = [Permutation.parse(t, degree=args.degree or 0)
                  for t in args.gens.split(";")]
@@ -127,7 +89,7 @@ def _cmd_group(args):
                  for p in perms]
         G = group_from_generators(degree, perms)
     elif args.name:
-        G = _named_group(args.name, args.n)
+        G = construct_named(args.name.lower(), args.n)
     else:
         raise ValidationError("give --name or --gens")
     out = {"degree": G.degree, "order": str(G.order()),
@@ -159,8 +121,8 @@ def _cmd_group(args):
 
 
 def _cmd_zoo(args):
-    from .zoo import (automorphism_group, count_abelian_groups, holomorph,
-                      partition_count, small_group_catalog)
+    from .zoo import (automorphism_group, construct_named, count_abelian_groups,
+                      holomorph, partition_count, small_group_catalog)
     if args.catalog:
         return {"entries": [e.as_dict() for e in small_group_catalog()]}
     if args.partitions is not None:
@@ -168,11 +130,11 @@ def _cmd_zoo(args):
         return {"n": n, "partition_count": str(partition_count(n)),
                 "abelian_groups_of_order_n": str(count_abelian_groups(n))}
     if args.aut:
-        G = _named_group(args.aut, args.n)
+        G = construct_named(args.aut.lower(), args.n)
         _, a, i, o = automorphism_group(G)
         return {"group": args.aut, "aut_order": a, "inn_order": i, "out_order": o}
     if args.holomorph:
-        G = _named_group(args.holomorph, args.n)
+        G = construct_named(args.holomorph.lower(), args.n)
         H = holomorph(G)
         return {"group": args.holomorph, "holomorph_order": str(H.order()),
                 "degree": H.degree}
@@ -181,7 +143,8 @@ def _cmd_zoo(args):
 
 def _cmd_chartab(args):
     from .characters import character_table
-    G = _named_group(args.name, args.n)
+    from .zoo import construct_named
+    G = construct_named(args.name.lower(), args.n)
     table = character_table(G)
     out = table.to_jsonable()
     ints = table.as_integer_matrix()
@@ -273,10 +236,7 @@ def _cmd_moonshine(args):
 
 def _cmd_algebra(args):
     from .division import associativity_probe
-    out = associativity_probe(args.probe, args.samples)
-    if "nonassociative_witness" in out:
-        pass  # already serializable
-    return out
+    return associativity_probe(args.probe, args.samples)
 
 
 def _cmd_sporadic(args):

@@ -29,15 +29,6 @@ def max_field_size():
     return int(os.environ.get("FSG_MAX_FIELD_SIZE", DEFAULT_MAX_FIELD_SIZE))
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def smallest_divisor(n: int) -> int:
     for d in range(2, isqrt(n) + 1):
         if n % d == 0:
@@ -45,19 +36,43 @@ def smallest_divisor(n: int) -> int:
     return n
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
+def is_prime(n: int) -> bool:
+    return n >= 2 and smallest_divisor(n) == n
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization as an ordered dict prime -> exponent."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending."""
+    return list(factorize(n))
+
+
+def prime_power(q):
+    """(p, f) with q = p^f for a prime p, or None.
+
+    Trial division stops at the smallest prime factor, so a q that is
+    not a prime power costs no more than finding that factor.
+    """
+    if q < 2:
+        return None
+    p = smallest_divisor(q)
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    return (p, f) if q == 1 else None
 
 
 # ---------------------------------------------------------------------------

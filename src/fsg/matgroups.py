@@ -11,10 +11,11 @@ a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
-from .fields import FieldSpec, is_prime, make_field, multiplicative_generator
+from .fields import (FieldSpec, is_prime, make_field, multiplicative_generator,
+                     prime_power)
 from .perms import PermGroup, Permutation, group_from_generators
 
 PROJECTIVE_POINT_BOUND = 5000
@@ -27,19 +28,15 @@ FAMILY_TAGS = (
 
 RANKLESS = {"G2", "F4", "E6", "E7", "E8", "3D4", "2E6", "2B2", "2G2", "2F4"}
 
+# Twisted tags that name an untwisted family: tag -> (family, rank shift).
+# 2A_n(q) is PSU_{n+1}(q) and 2D_n(q) is the minus-type Omega_2n(q).
+TWISTED_ALIASES = {"2An": ("PSU", 1), "2Dn": ("POmega_even_minus", 0)}
 
-def _prime_power(q):
-    """(p, f) with q = p^f, or None."""
-    if q < 2:
-        return None
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            f = 0
-            while q % p == 0:
-                q //= p
-                f += 1
-            return (p, f) if q == 1 and is_prime(p) else None
-    return (q, 1)
+
+def _resolve(family, n):
+    """The (family, rank) whose formula answers a query for (family, n)."""
+    target, shift = TWISTED_ALIASES.get(family, (family, 0))
+    return target, n + shift
 
 
 def _exact_sqrt(q):
@@ -136,25 +133,25 @@ class FamilyOrderQuery:
         if self.family not in FAMILY_TAGS:
             raise ValidationError(
                 f"unknown family {self.family!r}; choose from {FAMILY_TAGS}")
-        pp = _prime_power(self.q)
+        pp = prime_power(self.q)
         if pp is None:
             raise ValidationError(f"q = {self.q} is not a prime power")
         p, f = pp
-        if self.family == "2B2" and (p != 2 or f % 2 == 0):
+        family, _ = _resolve(self.family, self.n)
+        if family == "2B2" and (p != 2 or f % 2 == 0):
             raise ValidationError("2B2 requires q = 2^(2m+1)")
-        if self.family == "2F4" and (p != 2 or f % 2 == 0):
+        if family == "2F4" and (p != 2 or f % 2 == 0):
             raise ValidationError("2F4 requires q = 2^(2m+1)")
-        if self.family == "2G2" and (p != 3 or f % 2 == 0):
+        if family == "2G2" and (p != 3 or f % 2 == 0):
             raise ValidationError("2G2 requires q = 3^(2m+1)")
-        if self.family in ("PSU", "2An") and _exact_sqrt(self.q) is None:
+        if family == "PSU" and _exact_sqrt(self.q) is None:
             raise ValidationError(
                 f"{self.family} takes the full (square) field size; "
                 f"q = {self.q} is not a square")
-        if self.family in ("POmega_odd", "POmega_even_plus", "POmega_even_minus") \
-                and p == 2:
+        if family == "POmega_odd" and p == 2:
             raise ValidationError(
-                "orthogonal families in characteristic 2 are not supported "
-                "here; their simple orders coincide with listed symplectic ones")
+                "POmega_odd is not supported in characteristic 2: "
+                "Omega_2n+1(2^k) is isomorphic to Sp_2n(2^k), so ask for PSp")
         if self.family not in RANKLESS and self.n < 1:
             raise ValidationError(f"{self.family} needs a rank parameter n >= 1")
 
@@ -191,11 +188,8 @@ def _non_simple_notes(family, n, q):
             notes.append(f"PSp_1({q}) = PSL_2({q}) is not simple")
         if n == 2 and q == 2:
             notes.append("Sp_2(2) is isomorphic to Sym_6 and is not simple")
-    if family in ("PSU", "2An"):
-        q0 = _exact_sqrt(q)
-        un = n if family == "PSU" else n + 1
-        if (un, q0 * q0) in ((2, 4), (2, 9), (3, 4)):
-            notes.append(f"PSU_{un}({q0 * q0}) is not simple")
+    if family == "PSU" and (n, q) in ((2, 4), (2, 9), (3, 4)):
+        notes.append(f"PSU_{n}({q}) is not simple")
     if family == "G2" and q == 2:
         notes.append("G_2(2) is not simple: it has a normal subgroup of index 2")
     if family == "2B2" and q == 2:
@@ -209,19 +203,16 @@ def _non_simple_notes(family, n, q):
 
 def order_formula(query: FamilyOrderQuery) -> OrderResult:
     """Exact order of the requested family member, with non-simplicity notes."""
-    fam, q, n = query.family, query.q, query.n
+    fam, n = _resolve(query.family, query.n)
+    q = query.q
     if fam == "GL":
         order = _gl_order(n, q)
     elif fam == "SL":
         order = _gl_order(n, q) // (q - 1)
     elif fam == "PSL":
         order = _gl_order(n, q) // (q - 1) // gcd(n, q - 1)
-    elif fam == "PSp":
-        order = q ** (n * n)
-        for i in range(1, n + 1):
-            order *= q ** (2 * i) - 1
-        order //= gcd(n, q - 1)
-    elif fam == "POmega_odd":
+    elif fam in ("PSp", "POmega_odd"):
+        # |PSp_2n(q)| = |Omega_2n+1(q)| (Artin 1955)
         order = q ** (n * n)
         for i in range(1, n + 1):
             order *= q ** (2 * i) - 1
@@ -233,13 +224,12 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
             order *= q ** (2 * i) - 1
         order *= last
         order //= gcd(4, last)
-    elif fam in ("PSU", "2An"):
+    elif fam == "PSU":
         q0 = _exact_sqrt(q)
-        un = n if fam == "PSU" else n + 1
-        order = q0 ** (un * (un - 1) // 2)
-        for i in range(2, un + 1):
+        order = q0 ** (n * (n - 1) // 2)
+        for i in range(2, n + 1):
             order *= q0 ** i - (-1) ** i
-        order //= gcd(un, q0 + 1)
+        order //= gcd(n, q0 + 1)
     elif fam == "G2":
         order = q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
     elif fam == "F4":
@@ -258,11 +248,6 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
         order = q ** 120
         for e in (30, 24, 20, 18, 14, 12, 8, 2):
             order *= q ** e - 1
-    elif fam == "2Dn":
-        order = q ** (n * (n - 1)) * (q ** n + 1)
-        for i in range(1, n):
-            order *= q ** (2 * i) - 1
-        order //= gcd(4, q ** n + 1)
     elif fam == "3D4":
         order = q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
     elif fam == "2E6":
@@ -277,7 +262,8 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
         order = q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
     else:  # pragma: no cover
         raise InternalDefectError(f"unhandled family {fam}")
-    return OrderResult(fam, q, n, order, _non_simple_notes(fam, n, q))
+    return OrderResult(query.family, q, query.n, order,
+                       _non_simple_notes(fam, n, q))
 
 
 # ---------------------------------------------------------------- projective
@@ -303,22 +289,6 @@ class _SmallField:
         self.zero = index[spec.zero().coeffs]
         self.one = index[spec.one().coeffs]
         self.gen = index[multiplicative_generator(spec).coeffs]
-
-
-def _mat_mul(F, A, B):
-    n = len(A)
-    add, mul = F.add, F.mul
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(n):
-            acc = F.zero
-            for k in range(n):
-                acc = add[acc][mul[Ai[k]][B[k][j]]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _mat_vec_apply(F, A, v):
@@ -455,26 +425,6 @@ KNOWN_ISOMORPHISMS = (
     frozenset({"PSp_2(3)", "PSU_4(4)"}),
 )
 
-# Equal order, genuinely different groups: never merged.
-KNOWN_ORDER_COINCIDENCES = (
-    (20160, ("Alt_8", "PSL_3(4)")),
-)
-
-
-def _prime_powers_up_to(limit):
-    out = []
-    for q in range(2, limit + 1):
-        if _prime_power(q):
-            out.append(q)
-    return out
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
 
 def simple_census(bound, include_sporadic=True):
     """Nonabelian simple groups of order <= bound, one entry per isomorphism
@@ -488,11 +438,11 @@ def simple_census(bound, include_sporadic=True):
             found[label] = order
 
     n = 5
-    while _factorial(n) // 2 <= bound:
-        put(f"Alt_{n}", _factorial(n) // 2)
+    while factorial(n) // 2 <= bound:
+        put(f"Alt_{n}", factorial(n) // 2)
         n += 1
 
-    qs = _prime_powers_up_to(bound)
+    qs = [q for q in range(2, bound + 1) if prime_power(q)]
     for q in qs:
         if q in (2, 3):
             continue
@@ -562,35 +512,14 @@ def simple_census(bound, include_sporadic=True):
             if o <= bound:
                 put(f"{fam}({q})", o)
 
-    # merge by order + known isomorphisms
-    by_order = {}
+    # one entry per (order, identification class); a label outside the
+    # table is its own class, so equal orders alone never merge
+    classes = {}
     for label, order in found.items():
-        by_order.setdefault(order, set()).add(label)
-    entries = []
-    for order, labels in by_order.items():
-        groups = []
-        for label in sorted(labels):
-            placed = False
-            for g in groups:
-                joint = g | {label}
-                if any(joint <= iso for iso in KNOWN_ISOMORPHISMS):
-                    g.add(label)
-                    placed = True
-                    break
-            if not placed:
-                groups.append({label})
-        # classes not covered by the identification table but of equal order
-        # must be recorded separately only when known distinct
-        merged = []
-        for g in groups:
-            hit = next((iso for iso in KNOWN_ISOMORPHISMS if g <= iso), None)
-            merged.append((hit or frozenset(g), g))
-        # coalesce pieces that landed in the same identification class
-        final = {}
-        for key, g in merged:
-            final.setdefault(key, set()).update(g)
-        for g in final.values():
-            entries.append(CensusEntry(order, tuple(sorted(g))))
+        iso = next((iso for iso in KNOWN_ISOMORPHISMS if label in iso), label)
+        classes.setdefault((order, iso), []).append(label)
+    entries = [CensusEntry(order, tuple(sorted(labels)))
+               for (order, _), labels in classes.items()]
 
     if include_sporadic:
         from .sporadic import sporadic_table

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
+from .sporadic import sporadic_table
 
 DELTA_TERM_BOUND = 10 ** 4
 J_TERM_BOUND = 10 ** 3
 
-MONSTER_FACTORIZATION = (
-    (2, 46), (3, 20), (5, 9), (7, 6), (11, 2), (13, 3), (17, 1), (19, 1),
-    (23, 1), (29, 1), (31, 1), (41, 1), (47, 1), (59, 1), (71, 1),
-)
 MONSTER_MISSING_PRIMES = (37, 43, 53, 61, 67)
 MONSTER_IRREP_DIMS = (1, 196883, 21296876, 842609326)
 E8_IRREP_DIMS = (1, 248, 3875, 30380)
@@ -231,25 +228,11 @@ def leech_theta_prefix(num_terms) -> IntegerSeries:
 # ----------------------------------------------------------------- monster
 
 
-@dataclass(frozen=True)
-class MonsterData:
-    factorization: tuple = MONSTER_FACTORIZATION
-    irrep_dims: tuple = MONSTER_IRREP_DIMS
-    missing_primes: tuple = MONSTER_MISSING_PRIMES
-
-    def order(self):
-        out = 1
-        for p, e in self.factorization:
-            out *= p ** e
-        return out
-
-
 def monster_order() -> int:
-    m = MonsterData()
-    order = m.order()
-    present = {p for p, _ in m.factorization}
-    if present & set(m.missing_primes):
-        raise InternalDefectError("missing primes overlap the factorization")
+    """|M|, from the Monster's row of the sporadic table."""
+    order = next(e.order for e in sporadic_table() if e.symbol == "M")
+    if any(order % p == 0 for p in MONSTER_MISSING_PRIMES):
+        raise InternalDefectError("a missing prime divides the Monster order")
     return order
 
 

@@ -120,10 +120,6 @@ class Permutation:
             k >>= 1
         return out
 
-    def conjugate_by(self, g):
-        """g * self * g^{-1}."""
-        return g * self * g.inverse()
-
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
 

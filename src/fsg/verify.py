@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import time
 
-from .fields import make_field
-from .matgroups import _prime_power
+from .fields import make_field, prime_power
 
 EXPECTED_NONABELIAN_CENSUS_10000 = {
     60: ("Alt_5", "PSL_2(4)", "PSL_2(5)"),
@@ -32,7 +31,7 @@ EXPECTED_NONABELIAN_CENSUS_10000 = {
     9828: ("PSL_2(27)",),
 }
 
-PRIME_POWERS_256 = [q for q in range(2, 257) if _prime_power(q)]
+PRIME_POWERS_256 = [q for q in range(2, 257) if prime_power(q)]
 
 
 def _check_order_formulas():
@@ -252,7 +251,7 @@ def _check_group_properties():
 def _check_one_field(q):
     from .fields import (element_multiplicative_order, frobenius_order,
                          make_field, multiplicative_generator)
-    p, f = _prime_power(q)
+    p, f = prime_power(q)
     F = make_field(p, f)
     els = list(F.elements())
     g = multiplicative_generator(F)

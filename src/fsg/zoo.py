@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .cayley import CayleyStructure
 from .errors import InternalDefectError, ValidationError
-from .fields import is_prime, prime_factors
+from .fields import factorize, is_prime, make_field, prime_power
+from .matgroups import projective_action
 from .perms import PermGroup, Permutation, center_order, group_from_generators
 
 
@@ -103,10 +105,7 @@ def symmetric(n):
     gens = [Permutation.from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-    return _certify(group_from_generators(n, gens), order, f"symmetric({n})")
+    return _certify(group_from_generators(n, gens), factorial(n), f"symmetric({n})")
 
 
 def alternating(n):
@@ -122,10 +121,8 @@ def alternating(n):
     else:
         gens = [Permutation.from_cycles(n, [(0, 1, 2)]),
                 Permutation.from_cycles(n, [tuple(range(1, n))])]
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-    return _certify(group_from_generators(n, gens), order // 2, f"alternating({n})")
+    return _certify(group_from_generators(n, gens), factorial(n) // 2,
+                    f"alternating({n})")
 
 
 def clifford(n, even_only=False):
@@ -178,6 +175,14 @@ def elementary_abelian(p, m):
                     f"elementary_abelian({p},{m})")
 
 
+def _projective(variant, n, q):
+    """PSL_n(q) or PGL_n(q) acting on projective space, for a prime power q."""
+    pp = prime_power(q)
+    if pp is None:
+        raise ValidationError(f"q = {q} is not a prime power")
+    return projective_action(variant, n, make_field(*pp))
+
+
 _FAMILIES = {
     "cyclic": (cyclic, True),
     "dihedral": (dihedral, True),
@@ -190,14 +195,29 @@ _FAMILIES = {
     "quaternion": (quaternion, False),
     "frobenius21": (frobenius21, False),
     "elementary_abelian": (elementary_abelian, 2),
+    "psl2": (lambda q: _projective("PSL", 2, q), True),
+    "pgl2": (lambda q: _projective("PGL", 2, q), True),
+    "psl3": (lambda q: _projective("PSL", 3, q), True),
+    "pgl3": (lambda q: _projective("PGL", 3, q), True),
+}
+
+# Short names accepted in place of the family tags.
+_ALIASES = {
+    "sym": "symmetric", "s": "symmetric",
+    "alt": "alternating", "a": "alternating",
+    "z": "cyclic", "d": "dihedral", "qn": "dicyclic",
+    "v": "vierergruppe", "q": "quaternion",
 }
 
 
 def construct_named(name, parameter=None):
-    """Build a named family member; see _FAMILIES for the accepted tags."""
+    """Build a named family member; see _FAMILIES for the accepted tags
+    and _ALIASES for their short names."""
+    name = _ALIASES.get(name, name)
     if name not in _FAMILIES:
         raise ValidationError(
-            f"unknown group family {name!r}; choose from {sorted(_FAMILIES)}")
+            f"unknown group family {name!r}; choose from {sorted(_FAMILIES)} "
+            f"or an alias in {sorted(_ALIASES)}")
     fn, arity = _FAMILIES[name]
     if arity is False:
         return fn()
@@ -445,18 +465,6 @@ def partition_count(n):
             total += sign * partition_count(n - g2)
         k += 1
     return total
-
-
-def factorize(n):
-    """Prime factorization as an ordered dict prime -> exponent."""
-    out = {}
-    for p in prime_factors(n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
-    return out
 
 
 def count_abelian_groups(n):

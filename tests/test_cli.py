@@ -138,6 +138,10 @@ def test_projective_named_groups(capsys):
     assert payload["simple"] is True
     payload = run_json(capsys, "group", "--name", "pgl2", "--n", "9")
     assert payload["order"] == "720"
+    for q in ("6", "1"):
+        code, out, err = run(capsys, "group", "--name", "psl2", "--n", q)
+        assert (code, out) == (2, "")
+        assert "not a prime power" in err and "Traceback" not in err
 
 
 def test_zoo_aut_and_holomorph(capsys):

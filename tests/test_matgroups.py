@@ -83,6 +83,22 @@ def test_symplectic_and_orthogonal():
     assert O("POmega_odd", 7, 1) == O("PSL", 7, 2)
 
 
+def test_symplectic_orders_divide_by_gcd_2():
+    assert O("PSp", 3, 3) == O("POmega_odd", 3, 3) == 4585351680
+    assert O("PSp", 5, 1) == O("PSL", 5, 2) == 60
+    assert O("PSp", 2, 3) == 1451520
+    for n in (3, 4):
+        for q in (3, 5, 7, 9, 11):
+            assert O("PSp", q, n) == O("POmega_odd", q, n)
+
+
+def test_orthogonal_characteristic_2():
+    assert O("POmega_even_plus", 2, 4) == 174182400
+    assert O("POmega_even_minus", 2, 4) == O("2Dn", 2, 4) == 197406720
+    with pytest.raises(ValidationError, match="PSp"):
+        FamilyOrderQuery("POmega_odd", 2, 3)
+
+
 def test_dimension_count_identities():
     for n in range(1, 12):
         assert n * n - n * (n + 1) // 2 == n * (n - 1) // 2

@@ -53,6 +53,12 @@ def test_construct_named_dispatch():
     assert construct_named("quaternion").order() == 8
     assert construct_named("frobenius21").order() == 21
     assert construct_named("elementary_abelian", (3, 2)).order() == 9
+    assert construct_named("psl2", 9).order() == 360
+    assert construct_named("pgl2", 4).order() == 60
+    assert construct_named("s", 4).order() == 24
+    assert construct_named("qn", 3).order() == 12
+    with pytest.raises(ValidationError, match="prime power"):
+        construct_named("psl2", 6)
     with pytest.raises(ValidationError):
         construct_named("monster")
     with pytest.raises(ValidationError, match="n = 3"):
