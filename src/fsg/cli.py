@@ -48,9 +48,13 @@ def _emit_text(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def _parse_element(F, text):
-    coeffs = [int(t) for t in text.replace(",", " ").split()]
-    return F.element(coeffs)
+def _parse_ints(text, flag):
+    if text is None:
+        raise ValidationError(f"this operation needs {flag}")
+    try:
+        return [int(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"{flag} takes integers, got {text!r}") from None
 
 
 def _cmd_field(args):
@@ -61,17 +65,23 @@ def _cmd_field(args):
            "modulus_low_to_high": list(F.modulus),
            "multiplicative_generator": list(multiplicative_generator(F).coeffs)}
     if args.op:
-        a = _parse_element(F, args.a)
+        a = F.element(_parse_ints(args.a, "--a"))
         b = None
         if args.op in ("add", "sub", "mul"):
-            b = _parse_element(F, args.b)
+            b = F.element(_parse_ints(args.b, "--b"))
         elif args.op == "pow":
-            b = int(args.b)
-        r = field_arithmetic(F, args.op, a, b)
+            b = _parse_ints(args.b, "--b")
+            if len(b) != 1:
+                raise ValidationError(f"--b takes one integer exponent, got {args.b!r}")
+            b = b[0]
+        try:
+            r = field_arithmetic(F, args.op, a, b)
+        except ZeroDivisionError as exc:
+            raise ValidationError(str(exc)) from None
         out["op"] = {"name": args.op, "a": list(a.coeffs),
                      "b": args.b, "result": list(r.coeffs)}
     if args.frobenius_orbit is not None:
-        a = _parse_element(F, args.frobenius_orbit)
+        a = F.element(_parse_ints(args.frobenius_orbit, "--frobenius-orbit"))
         out["frobenius_orbit"] = [list(x.coeffs) for x in frobenius_orbit(F, a)]
     return out
 

@@ -1,23 +1,37 @@
 """Exact arithmetic in the finite fields GF(p) and GF(p^f).
 
-Elements are stored in the polynomial basis: a field of q = p^f elements
-is F_p[t] modulo a monic irreducible polynomial of degree f, and an
-element is the tuple of its f coefficients (low degree first), each
-reduced into [0, p).  The modulus is chosen deterministically as the
+A field of q = p^f elements is F_p[t] modulo a monic irreducible
+polynomial of degree f.  The modulus is chosen deterministically as the
 lexicographically smallest monic irreducible polynomial, coefficients
 read low-to-high, so two calls to :func:`make_field` with the same
 (p, f) agree in every detail.
 
-All values are immutable and all operations are pure functions, so
-fields and elements can be shared freely between threads.
+An element is an int code, its index in :meth:`FieldSpec.elements`: the
+f coefficients (low degree first) read as base-p digits, the constant one
+most significant.  For f = 1 the code is the residue and arithmetic is
+plain int arithmetic mod p.  For f > 1 the polynomial path decodes,
+multiplies and reduces until a field with q <= 2^16 has served q
+operations; then it builds exp, log and Zech-logarithm tables (K. Huber,
+IEEE Trans. IT 36, 1990) and every later operation is a lookup.  A
+one-operation caller never pays for the O(q) build; a sweep pays once.
+
+Fields and elements are immutable and can be shared between threads.
+The lazy tables are safe: they are complete before one attribute
+assignment publishes them, so a thread sees no tables (and takes the
+polynomial path, with the same answers) or whole ones; and operations
+are counted by next() on an itertools.count, a single C call under the
+interpreter lock, so exactly one thread sees the q-th and builds them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import count
 from itertools import product as _cartesian
 from math import isqrt
+from operator import index, itemgetter
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
@@ -76,70 +90,21 @@ def prime_power(q):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over F_p.  A polynomial is a tuple of residues, low
-# degree first, with no trailing zeros (() is the zero polynomial).
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b, p):
-    """Quotient and remainder of a by b (b != 0), over F_p."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = (a[-1] * inv_lb) % p
-        q[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
+# Polynomial helpers over F_p.  A polynomial is a sequence of residues, low
+# degree first.
 
 
 def _poly_mod(a, b, p):
-    return _poly_divmod(a, b, p)[1]
-
-
-def _poly_ext_gcd(a, b, p):
-    """(g, s, t) with s*a + t*b = g over F_p."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim((si - qi) % p for si, qi in
-                                _zip_pad(s0, _poly_mul(q, s1, p), p))
-        t0, t1 = t1, _poly_trim((ti - qi) % p for ti, qi in
-                                _zip_pad(t0, _poly_mul(q, t1, p), p))
-    return r0, s0, t0
-
-
-def _zip_pad(a, b, p):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
+    """Remainder of a by the monic polynomial b over F_p: len(b) - 1
+    residues, low degree first, when a is at least that long."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) > db:
+        coef = a.pop() % p
+        if coef:
+            for i in range(db):
+                a[len(a) - db + i] -= coef * b[i]
+    return [c % p for c in a]
 
 
 def _monic_polys(degree, p):
@@ -158,12 +123,166 @@ def _is_irreducible(poly, p):
         return False
     for d in range(1, f // 2 + 1):
         for divisor in _monic_polys(d, p):
-            if not _poly_mod(poly, divisor, p):
+            if not any(_poly_mod(poly, divisor, p)):
                 return False
     return True
 
 
 # ---------------------------------------------------------------------------
+# Arithmetic on codes.  These kernels trust their operands: FieldSpec checks
+# that an element belongs to the field before its code gets here.
+
+TABLE_MAX_SIZE = 2 ** 16
+
+
+class _Codes:
+    """Conversions between codes and coefficients, shared by both kernels."""
+
+    def __init__(self, p, f):
+        self.p, self.f, self.q = p, f, p ** f
+        self.one = self.q // p          # the constant 1 is the top digit
+
+    def coeffs(self, c):
+        """The f coefficients of code c, low degree first."""
+        out = [0] * self.f
+        for i in range(self.f - 1, -1, -1):
+            c, out[i] = divmod(c, self.p)
+        return tuple(out)
+
+    def encode(self, coeffs):
+        c = 0
+        for x in coeffs:
+            c = c * self.p + x
+        return c
+
+    def generator(self):
+        """The smallest code of multiplicative order q-1: g^((q-1)/r) != 1
+        for every prime r | q-1."""
+        n = self.q - 1
+        radicals = prime_factors(n)
+        return next(g for g in range(1, self.q)
+                    if all(self.pow(g, n // r) != self.one for r in radicals))
+
+
+class _PrimeCodes(_Codes):
+    """GF(p): the code is the residue."""
+
+    def add(self, x, y):
+        return (x + y) % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def pow(self, x, k):
+        return pow(x, k, self.p)
+
+
+class _ExtensionCodes(_Codes):
+    """GF(p^f), f > 1: the polynomial path until the tables are built.
+
+    tables is None or (exp, log, zech) for a generator g of order n = q-1:
+    exp[i] = g^(i mod n) for i < 2n, then n zeros; log[g^i] = i; and
+    zech[d] = log(1 + g^d), or 2n where 1 + g^d = 0, so that an exp
+    lookup lands in the zero tail.
+    """
+
+    def __init__(self, p, f, modulus):
+        super().__init__(p, f)
+        self.modulus = modulus
+        self.half = 0 if p == 2 else (self.q - 1) // 2     # log of -1
+        self.tables = None
+        self._served = count(1)
+
+    def _serve(self):
+        """Count an operation on the polynomial path; the q-th builds tables."""
+        if self.q <= TABLE_MAX_SIZE and next(self._served) == self.q:
+            self._build_tables()
+
+    def _poly_mul(self, x, y):
+        b = self.coeffs(y)
+        prod = [0] * (2 * self.f - 1)
+        for i, ai in enumerate(self.coeffs(x)):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        return self.encode(_poly_mod(prod, self.modulus, self.p))
+
+    def _poly_pow(self, x, k):
+        out = self.one
+        while k:
+            if k & 1:
+                out = self._poly_mul(out, x)
+            x = self._poly_mul(x, x)
+            k >>= 1
+        return out
+
+    def _build_tables(self):
+        p, q, one = self.p, self.q, self.one
+        n = q - 1
+        g = self.generator()
+        exp = array("i", [0]) * (3 * n)
+        x = one
+        for i in range(n):
+            exp[i] = exp[i + n] = x
+            x = self._poly_mul(x, g)
+        log = array("i", [0]) * q
+        for i in range(n):
+            log[exp[i]] = i
+        zech = array("i", [0]) * n
+        top = (p - 1) * one
+        for d in range(n):
+            c = exp[d]
+            c = c + one if c < top else c - top      # 1 + g^d
+            zech[d] = log[c] if c else 2 * n
+        self.tables = (exp, log, zech)
+
+    def add(self, x, y):
+        t = self.tables
+        if t is None:
+            self._serve()
+            p = self.p
+            return self.encode([(u + v) % p for u, v in
+                                zip(self.coeffs(x), self.coeffs(y))])
+        if not x:
+            return y
+        if not y:
+            return x
+        exp, log, zech = t
+        lx = log[x]
+        # log[y] - lx lies in (-n, n); a negative index wraps modulo n
+        return exp[lx + zech[log[y] - lx]]
+
+    def neg(self, x):
+        t = self.tables
+        if t is None:
+            self._serve()
+            return self.encode([-u % self.p for u in self.coeffs(x)])
+        return x and t[0][t[1][x] + self.half]
+
+    def mul(self, x, y):
+        t = self.tables
+        if t is None:
+            self._serve()
+            return self._poly_mul(x, y)
+        if not x or not y:
+            return 0
+        exp, log, _ = t
+        return exp[log[x] + log[y]]
+
+    def pow(self, x, k):
+        t = self.tables
+        if t is None:
+            self._serve()
+            return self._poly_pow(x, k)
+        if not x:
+            return 0 if k else self.one
+        return t[0][t[1][x] * k % (self.q - 1)]
+
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -171,12 +290,19 @@ class FieldSpec:
     """The field F_{p^f} in a fixed polynomial basis.
 
     modulus has f+1 entries, low degree first, and is monic irreducible.
+    codes is the unchecked arithmetic on element codes; it holds the
+    lazily built tables, so it takes no part in eq, hash or repr.
     """
 
     p: int
     f: int
     modulus: tuple
     q: int
+    codes: _Codes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "codes", _PrimeCodes(self.p, 1) if self.f == 1
+                           else _ExtensionCodes(self.p, self.f, self.modulus))
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -186,106 +312,107 @@ class FieldSpec:
     def element(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, int):
             coeffs = [coeffs] + [0] * (self.f - 1)
-        coeffs = tuple(c % self.p for c in coeffs)
+        coeffs = [index(c) % self.p for c in coeffs]     # a float is a TypeError
         if len(coeffs) != self.f:
             raise ValidationError(
                 f"element of {self!r} needs {self.f} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
+        return _new(FieldElement, (self, self.codes.encode(coeffs)))
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return _new(FieldElement, (self, 0))
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return _new(FieldElement, (self, self.codes.one))
 
     def elements(self):
         """All q elements, ascending in the canonical coefficient order."""
-        for coeffs in _cartesian(range(self.p), repeat=self.f):
-            yield FieldElement(self, coeffs)
+        for c in range(self.q):
+            yield _new(FieldElement, (self, c))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, a):
-        if not isinstance(a, FieldElement) or a.spec is not self:
+    def _code(self, a):
+        if type(a) is not FieldElement or a[0] is not self:
             raise DomainMismatchError(f"operand {a!r} does not belong to {self!r}")
+        return a[1]
 
     def add(self, a, b):
-        self._check(a); self._check(b)
-        return FieldElement(self, tuple((x + y) % self.p
-                                        for x, y in zip(a.coeffs, b.coeffs)))
+        return _new(FieldElement, (self, self.codes.add(self._code(a), self._code(b))))
 
     def sub(self, a, b):
-        self._check(a); self._check(b)
-        return FieldElement(self, tuple((x - y) % self.p
-                                        for x, y in zip(a.coeffs, b.coeffs)))
+        c = self.codes
+        return _new(FieldElement, (self, c.add(self._code(a), c.neg(self._code(b)))))
 
     def neg(self, a):
-        self._check(a)
-        return FieldElement(self, tuple((-x) % self.p for x in a.coeffs))
+        return _new(FieldElement, (self, self.codes.neg(self._code(a))))
 
     def mul(self, a, b):
-        self._check(a); self._check(b)
-        if self.f == 1:      # prime field: plain modular product
-            return FieldElement(self, ((a.coeffs[0] * b.coeffs[0]) % self.p,))
-        prod = _poly_mul(_poly_trim(a.coeffs), _poly_trim(b.coeffs), self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return FieldElement(self, red + (0,) * (self.f - len(red)))
+        return _new(FieldElement, (self, self.codes.mul(self._code(a), self._code(b))))
 
     def inv(self, a):
-        self._check(a)
-        if a.is_zero():
+        x = self._code(a)
+        if not x:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        if self.f == 1:
-            return FieldElement(self, (pow(a.coeffs[0], self.p - 2, self.p),))
-        g, s, _ = _poly_ext_gcd(_poly_trim(a.coeffs), self.modulus, self.p)
-        # g is a nonzero constant; scale s by its inverse
-        c = pow(g[0], self.p - 2, self.p)
-        s = _poly_mod(_poly_mul(s, (c,), self.p), self.modulus, self.p)
-        return FieldElement(self, s + (0,) * (self.f - len(s)))
+        return _new(FieldElement, (self, self.codes.pow(x, self.q - 2)))
 
     def pow(self, a, k: int):
-        self._check(a)
         if k < 0:
             return self.pow(self.inv(a), -k)
-        out, base = self.one(), a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return _new(FieldElement, (self, self.codes.pow(self._code(a), k)))
 
     def frobenius(self, a):
         """The map x -> x^p."""
-        return self.pow(a, self.p)
+        return _new(FieldElement, (self, self.codes.pow(self._code(a), self.p)))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    spec: FieldSpec
-    coeffs: tuple
+class FieldElement(tuple):
+    """An element of a field: the pair (spec, code).
+
+    FieldElement(spec, coeffs) builds one from its coefficients.  Elements
+    are immutable, and equal (with equal hashes) when their specs are
+    equal and their codes are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, spec, coeffs):
+        return spec.element(coeffs)
+
+    def __getnewargs__(self):       # copy and pickle rebuild through __new__
+        return self[0], self.coeffs
+
+    spec = property(itemgetter(0), doc="The FieldSpec the element belongs to.")
+    code = property(itemgetter(1), doc="The index in spec.elements().")
+
+    @property
+    def coeffs(self):
+        """The polynomial coefficients, low degree first."""
+        return self[0].codes.coeffs(self[1])
+
+    def __hash__(self):
+        return self[1]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self[1]
 
     def __add__(self, other):
-        return self.spec.add(self, other)
+        return self[0].add(self, other)
 
     def __sub__(self, other):
-        return self.spec.sub(self, other)
+        return self[0].sub(self, other)
 
     def __neg__(self):
-        return self.spec.neg(self)
+        return self[0].neg(self)
 
     def __mul__(self, other):
-        return self.spec.mul(self, other)
+        return self[0].mul(self, other)
+
+    __rmul__ = __mul__      # not tuple repetition: 3 * a is a domain error
 
     def __pow__(self, k):
-        return self.spec.pow(self, k)
+        return self[0].pow(self, k)
 
     def __repr__(self):
-        if self.spec.f == 1:
-            return str(self.coeffs[0])
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -307,14 +434,15 @@ def make_field(p: int, f: int = 1, max_size: int = None) -> FieldSpec:
     if max_size is None:
         max_size = max_field_size()
     if not is_prime(p):
-        raise ValidationError(
-            f"p = {p} is not prime (divisible by {smallest_divisor(p)})")
+        raise ValidationError(f"p = {p} is not prime" + (
+            f" (divisible by {smallest_divisor(p)})" if p > 1 else ""))
     if f < 1:
         raise ValidationError(f"exponent f must be >= 1, got {f}")
-    q = p ** f
-    if q > max_size:
+    # 2^f > max_size already refuses, before p^f is computed
+    if f >= max_size.bit_length() or p ** f > max_size:
         raise ResourceLimitError(
-            f"field size {q} exceeds the configured bound {max_size}")
+            f"field size {p}^{f} exceeds the configured bound {max_size}")
+    q = p ** f
     if f == 1:
         modulus = (0, 1)
     else:
@@ -343,7 +471,7 @@ def field_arithmetic(spec: FieldSpec, op: str, a: FieldElement, b=None):
 
 def frobenius_orbit(spec: FieldSpec, a: FieldElement) -> list:
     """Orbit of a under x -> x^p; its length divides f."""
-    spec._check(a)
+    spec._code(a)
     orbit = [a]
     x = spec.frobenius(a)
     while x != a:
@@ -384,17 +512,7 @@ def multiplicative_generator(spec: FieldSpec) -> FieldElement:
 
     Verified by checking g^((q-1)/r) != 1 for every prime r | q-1.
     """
-    n = spec.q - 1
-    if n == 1:
-        return spec.one()
-    radicals = prime_factors(n)
-    one = spec.one()
-    for g in spec.elements():
-        if g.is_zero():
-            continue
-        if all(spec.pow(g, n // r) != one for r in radicals):
-            return g
-    raise AssertionError("no multiplicative generator found")  # unreachable
+    return _new(FieldElement, (spec, spec.codes.generator()))
 
 
 def element_multiplicative_order(spec: FieldSpec, a: FieldElement) -> int:

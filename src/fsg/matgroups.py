@@ -11,6 +11,8 @@ a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from math import factorial, gcd, isqrt
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
@@ -110,12 +112,11 @@ class MatrixGF:
 
 def all_invertible_matrices(spec, n, limit=10 ** 6):
     """Every member of GL_n(q), when the matrix space is small enough."""
-    from itertools import product as cart
     if spec.q ** (n * n) > limit:
         raise ResourceLimitError("matrix space is too large to enumerate")
     els = list(spec.elements())
     out = []
-    for flat in cart(els, repeat=n * n):
+    for flat in product(els, repeat=n * n):
         m = MatrixGF(n, spec, tuple(tuple(flat[i * n:(i + 1) * n])
                                     for i in range(n)))
         if m.is_invertible():
@@ -267,93 +268,55 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
 
 
 # ---------------------------------------------------------------- projective
+# Vectors and matrices hold element codes, the arithmetic is FieldSpec.codes.
 
 
-class _SmallField:
-    """Integer-coded field tables for fast matrix work: elements are indices
-    into the canonical element order of a FieldSpec."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.q = spec.q
-        els = list(spec.elements())
-        self.elements = els
-        index = {e.coeffs: i for i, e in enumerate(els)}
-        self.add = [[index[spec.add(a, b).coeffs] for b in els] for a in els]
-        self.mul = [[index[spec.mul(a, b).coeffs] for b in els] for a in els]
-        self.neg = [index[spec.neg(a).coeffs] for a in els]
-        self.inv = [0] * self.q
-        for i, a in enumerate(els):
-            if not a.is_zero():
-                self.inv[i] = index[spec.inv(a).coeffs]
-        self.zero = index[spec.zero().coeffs]
-        self.one = index[spec.one().coeffs]
-        self.gen = index[multiplicative_generator(spec).coeffs]
+def _mat_vec_apply(K, A, v):
+    return tuple(reduce(K.add, map(K.mul, row, v), 0) for row in A)
 
 
-def _mat_vec_apply(F, A, v):
-    add, mul = F.add, F.mul
-    n = len(v)
-    return tuple(
-        _fold_add(F, [mul[A[i][k]][v[k]] for k in range(n)]) for i in range(n))
-
-
-def _fold_add(F, vals):
-    acc = F.zero
-    for v in vals:
-        acc = F.add[acc][v]
-    return acc
-
-
-def _identity_matrix(F, n):
-    return tuple(tuple(F.one if i == j else F.zero for j in range(n))
+def _identity_matrix(K, n):
+    return tuple(tuple(K.one if i == j else 0 for j in range(n))
                  for i in range(n))
 
 
-def _transvection(F, n, i, j, lam):
-    m = [list(row) for row in _identity_matrix(F, n)]
+def _transvection(K, n, i, j, lam):
+    m = [list(row) for row in _identity_matrix(K, n)]
     m[i][j] = lam
     return tuple(tuple(row) for row in m)
 
 
-def projective_points(F: _SmallField, n):
-    """Points of PG(n-1, q): nonzero vectors scaled so the first nonzero
+def projective_points(spec: FieldSpec, n):
+    """Points of PG(n-1, q) as code vectors scaled so the first nonzero
     coordinate is 1, sorted lexicographically."""
-    pts = set()
-    def rec(prefix):
-        if len(prefix) == n:
-            if any(c != F.zero for c in prefix):
-                pts.add(_normalize_point(F, tuple(prefix)))
-            return
-        for c in range(F.q):
-            rec(prefix + [c])
-    rec([])
-    return sorted(pts)
+    one = spec.codes.one
+    return sorted((0,) * k + (one,) + rest for k in range(n)
+                  for rest in product(range(spec.q), repeat=n - k - 1))
 
 
-def _normalize_point(F, v):
-    lead = next(c for c in v if c != F.zero)
-    if lead == F.one:
+def _normalize_point(K, v):
+    lead = next(c for c in v if c)
+    if lead == K.one:
         return v
-    s = F.inv[lead]
-    return tuple(F.mul[s][c] for c in v)
+    s = K.pow(lead, K.q - 2)        # 1 / lead
+    return tuple(K.mul(s, c) for c in v)
 
 
-def _matrix_to_point_perm(F, mat, points, point_index):
+def _matrix_to_point_perm(K, mat, points, point_index):
     images = []
     for v in points:
-        w = _normalize_point(F, _mat_vec_apply(F, mat, v))
+        w = _normalize_point(K, _mat_vec_apply(K, mat, v))
         images.append(point_index[w])
     return Permutation(images)
 
 
-def _sl_generator_matrices(F, n, lambdas):
+def _sl_generator_matrices(K, n, lambdas):
     gens = []
     for i in range(n):
         for j in range(n):
             if i != j:
                 for lam in lambdas:
-                    gens.append(_transvection(F, n, i, j, lam))
+                    gens.append(_transvection(K, n, i, j, lam))
     return gens
 
 
@@ -374,8 +337,8 @@ def projective_action(variant, n, spec: FieldSpec,
     if num_points > point_bound:
         raise ResourceLimitError(
             f"projective space has {num_points} points, over the bound {point_bound}")
-    F = _SmallField(spec)
-    points = projective_points(F, n)
+    K = spec.codes
+    points = projective_points(spec, n)
     if len(points) != num_points:
         raise InternalDefectError("projective point count mismatch")
     point_index = {v: i for i, v in enumerate(points)}
@@ -386,14 +349,15 @@ def projective_action(variant, n, spec: FieldSpec,
         expected = _gl_order(n, q) // (q - 1) // gcd(n, q - 1)
 
     # generator ladder: few transvection parameters first, everything on miss
-    lambda_choices = [{F.one, F.gen}, set(range(F.q)) - {F.zero}]
+    gen = multiplicative_generator(spec).code
+    lambda_choices = [{K.one, gen}, set(range(1, q))]
     for lambdas in lambda_choices:
-        mats = _sl_generator_matrices(F, n, sorted(lambdas))
+        mats = _sl_generator_matrices(K, n, sorted(lambdas))
         if variant == "PGL" and q > 2:
-            diag = [list(row) for row in _identity_matrix(F, n)]
-            diag[0][0] = F.gen
+            diag = [list(row) for row in _identity_matrix(K, n)]
+            diag[0][0] = gen
             mats.append(tuple(tuple(row) for row in diag))
-        perms = [_matrix_to_point_perm(F, m, points, point_index) for m in mats]
+        perms = [_matrix_to_point_perm(K, m, points, point_index) for m in mats]
         G = group_from_generators(num_points, perms)
         if G.order() == expected:
             return G

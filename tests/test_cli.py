@@ -75,6 +75,27 @@ def test_field_bad_prime_exit_2(capsys):
 def test_field_resource_exit_3(capsys):
     code, _, err = run(capsys, "field", "--p", "2", "--f", "40")
     assert code == 3
+    # refused before 3^(10^9) is computed
+    code, _, err = run(capsys, "field", "--p", "3", "--f", str(10 ** 9))
+    assert code == 3 and "3^1000000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 7 --op inv --a 0",
+    "--p 7 --op pow --a 0 --b -1",
+    "--p 7 --op add --a 1",
+    "--p 7 --op mul --b 1",
+    "--p 7 --op pow --a 2",
+    "--p 5 --op add --a 1 --b 1.5",
+    "--p 5 --op sub --a x --b 1",
+    "--p 5 --op pow --a 2 --b 1,2",
+    "--p 3 --f 2 --frobenius-orbit one",
+    "--p -5",
+])
+def test_field_bad_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, "field", *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal defect" not in err
 
 
 def test_census_command(capsys):

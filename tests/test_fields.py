@@ -1,9 +1,14 @@
 """Finite-field arithmetic against independent small oracles."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsg import fields
 from fsg.errors import DomainMismatchError, ResourceLimitError, ValidationError
 from fsg.fields import (
     element_multiplicative_order,
@@ -14,6 +19,7 @@ from fsg.fields import (
     make_field,
     multiplicative_generator,
     prime_factors,
+    prime_power,
 )
 
 SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -191,3 +197,104 @@ def test_f9_ring_laws_random(i, j, k):
     a, b, c = els[i], els[j], els[k]
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+
+
+# every extension field with q <= 128, then the two largest below 256
+EXTENSION_Q = [q for q in range(4, 129)
+               if (pf := prime_power(q)) and pf[1] > 1] + [243, 256]
+
+
+def _table_and_polynomial(q, monkeypatch):
+    """Two specs of GF(q): one switched to tables, one that never switches."""
+    table = make_field(*prime_power(q))
+    one = table.one()
+    for _ in range(q):
+        table.mul(one, one)
+    assert table.codes.tables is not None
+    monkeypatch.setattr(fields, "TABLE_MAX_SIZE", 0)
+    return table, make_field(*prime_power(q))
+
+
+@pytest.mark.parametrize("q", EXTENSION_Q)
+def test_tables_match_polynomial_path(q, monkeypatch):
+    T, P = _table_and_polynomial(q, monkeypatch)
+    t_els, p_els = list(T.elements()), list(P.elements())
+    for a, x in zip(t_els, p_els):
+        assert T.neg(a) == P.neg(x)
+        assert T.frobenius(a) == P.frobenius(x)
+        for k in (0, 2, 3 * q + 5):
+            assert T.pow(a, k) == P.pow(x, k)
+        if not a.is_zero():
+            assert T.inv(a) == P.inv(x)
+            assert T.pow(a, -3) == P.pow(x, -3)
+    if q <= 128:
+        pairs = [(i, j) for i in range(q) for j in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for i, j in pairs:
+        a, b, x, y = t_els[i], t_els[j], p_els[i], p_els[j]
+        assert T.add(a, b) == P.add(x, y)
+        assert T.sub(a, b) == P.sub(x, y)
+        assert T.mul(a, b) == P.mul(x, y)
+    assert P.codes.tables is None
+
+
+@pytest.mark.parametrize("q", [16, 81, 121])
+def test_same_answers_across_the_table_switch(q):
+    F = make_field(*prime_power(q))
+    rng = random.Random(q)
+    els = list(F.elements())
+    pairs = [(rng.choice(els), rng.choice(els)) for _ in range(q)]
+    answers = [(F.add(a, b), F.mul(a, b)) for a, b in pairs]
+    assert F.codes.tables is not None
+    assert answers == [(F.add(a, b), F.mul(a, b)) for a, b in pairs]
+
+
+def test_elements_are_immutable_values():
+    F = make_field(3, 2)
+    a = F.element([1, 2])
+    for name in ("spec", "code", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    assert a.coeffs == (1, 2) and a.code == 5
+    assert a == make_field(3, 2).element([1, 2])
+    assert hash(a) == hash(make_field(3, 2).element([1, 2]))
+    assert fields.FieldElement(F, (1, 2)) == a
+
+
+def test_element_needs_integer_coefficients():
+    with pytest.raises(TypeError):
+        make_field(7).element([1.5])
+    with pytest.raises(TypeError):
+        make_field(3, 2).element([1.5, 0])
+
+
+def _sweep(F):
+    els = list(F.elements())
+    return [(F.add(a, b).code, F.mul(a, b).code) for a in els for b in els]
+
+
+def test_threads_share_a_field_across_the_table_switch():
+    expected = {q: _sweep(make_field(*prime_power(q))) for q in (81, 121)}
+    shared = {q: make_field(*prime_power(q)) for q in (81, 121)}
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait(timeout=10)
+        results[k] = {q: _sweep(F) for q, F in shared.items()}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert all(F.codes.tables is not None for F in shared.values())
