@@ -199,7 +199,7 @@ def _cmd_golay(args):
 def _cmd_leech(args):
     from .leech import (kissing_number_consistency, leech_minimal_vectors,
                         norm6_dodecad_lower_bound)
-    if args.theta_terms:
+    if args.theta_terms is not None:
         from .moonshine import leech_theta_prefix
         th = leech_theta_prefix(args.theta_terms)
         return {"theta_coefficients_by_norm": {
@@ -207,7 +207,7 @@ def _cmd_leech(args):
     counts = leech_minimal_vectors()
     out = {"shapes": [c.as_dict() for c in counts],
            "kissing_number": sum(c.count for c in counts),
-           "theta_match": kissing_number_consistency()}
+           "theta_match": kissing_number_consistency(counts)}
     if args.norm6:
         out["norm6_dodecad_term"] = norm6_dodecad_lower_bound()
     return out

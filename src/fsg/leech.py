@@ -132,9 +132,11 @@ def leech_minimal_vectors(code: BinaryCode = None):
     return counts
 
 
-def kissing_number_consistency(code: BinaryCode = None):
-    """The shape-census total against the theta-series q^2 coefficient."""
-    counts = leech_minimal_vectors(code)
+def kissing_number_consistency(counts=None):
+    """The shape-census total against the theta-series q^2 coefficient;
+    counts is a leech_minimal_vectors() result, taken fresh when omitted."""
+    if counts is None:
+        counts = leech_minimal_vectors()
     total = sum(c.count for c in counts)
     theta = leech_theta_prefix(3)
     return {

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from math import factorial, gcd, isqrt
+from itertools import count, product, takewhile
+from math import factorial, gcd, isqrt, prod
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import (FieldSpec, is_prime, make_field, multiplicative_generator,
@@ -139,12 +139,9 @@ class FamilyOrderQuery:
             raise ValidationError(f"q = {self.q} is not a prime power")
         p, f = pp
         family, _ = _resolve(self.family, self.n)
-        if family == "2B2" and (p != 2 or f % 2 == 0):
-            raise ValidationError("2B2 requires q = 2^(2m+1)")
-        if family == "2F4" and (p != 2 or f % 2 == 0):
-            raise ValidationError("2F4 requires q = 2^(2m+1)")
-        if family == "2G2" and (p != 3 or f % 2 == 0):
-            raise ValidationError("2G2 requires q = 3^(2m+1)")
+        odd_power_of = {"2B2": 2, "2F4": 2, "2G2": 3}.get(family)
+        if odd_power_of and (p != odd_power_of or f % 2 == 0):
+            raise ValidationError(f"{family} requires q = {odd_power_of}^(2m+1)")
         if family == "PSU" and _exact_sqrt(self.q) is None:
             raise ValidationError(
                 f"{self.family} takes the full (square) field size; "
@@ -173,11 +170,13 @@ class OrderResult:
         return d
 
 
+def _minus_one(q, exponents):
+    """The product of q^e - 1 over the exponents."""
+    return prod(q ** e - 1 for e in exponents)
+
+
 def _gl_order(n, q):
-    out = 1
-    for i in range(n):
-        out *= q ** n - q ** i
-    return out
+    return q ** (n * (n - 1) // 2) * _minus_one(q, range(1, n + 1))
 
 
 def _non_simple_notes(family, n, q):
@@ -214,47 +213,31 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
         order = _gl_order(n, q) // (q - 1) // gcd(n, q - 1)
     elif fam in ("PSp", "POmega_odd"):
         # |PSp_2n(q)| = |Omega_2n+1(q)| (Artin 1955)
-        order = q ** (n * n)
-        for i in range(1, n + 1):
-            order *= q ** (2 * i) - 1
-        order //= gcd(2, q - 1)
+        order = q ** (n * n) * _minus_one(q, range(2, 2 * n + 1, 2)) \
+            // gcd(2, q - 1)
     elif fam in ("POmega_even_plus", "POmega_even_minus"):
         last = q ** n - 1 if fam == "POmega_even_plus" else q ** n + 1
-        order = q ** (n * (n - 1))
-        for i in range(1, n):
-            order *= q ** (2 * i) - 1
-        order *= last
-        order //= gcd(4, last)
+        order = q ** (n * (n - 1)) * _minus_one(q, range(2, 2 * n - 1, 2)) \
+            * last // gcd(4, last)
     elif fam == "PSU":
         q0 = _exact_sqrt(q)
-        order = q0 ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            order *= q0 ** i - (-1) ** i
-        order //= gcd(n, q0 + 1)
+        order = q0 ** (n * (n - 1) // 2) \
+            * prod(q0 ** i - (-1) ** i for i in range(2, n + 1)) // gcd(n, q0 + 1)
     elif fam == "G2":
-        order = q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
+        order = q ** 6 * _minus_one(q, (6, 2))
     elif fam == "F4":
-        order = q ** 24 * (q ** 12 - 1) * (q ** 8 - 1) * (q ** 6 - 1) * (q ** 2 - 1)
+        order = q ** 24 * _minus_one(q, (12, 8, 6, 2))
     elif fam == "E6":
-        order = q ** 36
-        for e in (12, 9, 8, 6, 5, 2):
-            order *= q ** e - 1
-        order //= gcd(3, q - 1)
+        order = q ** 36 * _minus_one(q, (12, 9, 8, 6, 5, 2)) // gcd(3, q - 1)
     elif fam == "E7":
-        order = q ** 63
-        for e in (18, 14, 12, 10, 8, 6, 2):
-            order *= q ** e - 1
-        order //= gcd(2, q - 1)
+        order = q ** 63 * _minus_one(q, (18, 14, 12, 10, 8, 6, 2)) // gcd(2, q - 1)
     elif fam == "E8":
-        order = q ** 120
-        for e in (30, 24, 20, 18, 14, 12, 8, 2):
-            order *= q ** e - 1
+        order = q ** 120 * _minus_one(q, (30, 24, 20, 18, 14, 12, 8, 2))
     elif fam == "3D4":
-        order = q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
+        order = q ** 12 * (q ** 8 + q ** 4 + 1) * _minus_one(q, (6, 2))
     elif fam == "2E6":
-        order = q ** 36 * (q ** 12 - 1) * (q ** 9 + 1) * (q ** 8 - 1) \
-            * (q ** 6 - 1) * (q ** 5 + 1) * (q ** 2 - 1)
-        order //= gcd(3, q + 1)
+        order = q ** 36 * _minus_one(q, (12, 8, 6, 2)) * (q ** 9 + 1) \
+            * (q ** 5 + 1) // gcd(3, q + 1)
     elif fam == "2B2":
         order = q ** 2 * (q ** 2 + 1) * (q - 1)
     elif fam == "2G2":
@@ -343,10 +326,9 @@ def projective_action(variant, n, spec: FieldSpec,
         raise InternalDefectError("projective point count mismatch")
     point_index = {v: i for i, v in enumerate(points)}
 
-    if variant == "PGL":
-        expected = _gl_order(n, q) // (q - 1)
-    else:
-        expected = _gl_order(n, q) // (q - 1) // gcd(n, q - 1)
+    # |PGL_n(q)| = |SL_n(q)|
+    family = "SL" if variant == "PGL" else "PSL"
+    expected = order_formula(FamilyOrderQuery(family, q, n)).order
 
     # generator ladder: few transvection parameters first, everything on miss
     gen = multiplicative_generator(spec).code
@@ -390,6 +372,31 @@ KNOWN_ISOMORPHISMS = (
 )
 
 
+# The Lie-type rows of the census: (family tag, first rank, label format),
+# rank None for the rankless families.  Lower ranks repeat other rows:
+# PSp_1 = PSU_2 = PSL_2, POmega_5 = PSp_2, POmega+-_6 = PSL_4 and PSU_4.
+CENSUS_FAMILIES = (
+    ("PSL", 2, "PSL_{n}({q})"),
+    ("PSp", 2, "PSp_{n}({q})"),
+    ("PSU", 3, "PSU_{n}({q})"),
+    ("POmega_odd", 3, "POmega_{odd}({q})"),
+    ("POmega_even_plus", 4, "POmega+_{even}({q})"),
+    ("POmega_even_minus", 4, "POmega-_{even}({q})"),
+) + tuple((tag, None, tag + "({q})") for tag in
+          ("G2", "F4", "E6", "E7", "E8", "3D4", "2E6", "2B2", "2G2", "2F4"))
+
+
+def _family_members(family, n):
+    """Order results of the family at rank n, for every q it accepts, in
+    increasing q."""
+    for q in filter(prime_power, count(2)):
+        try:
+            query = FamilyOrderQuery(family, q, n)
+        except ValidationError:
+            continue
+        yield order_formula(query)
+
+
 def simple_census(bound, include_sporadic=True):
     """Nonabelian simple groups of order <= bound, one entry per isomorphism
     class, sorted by order.  bound <= 10^7."""
@@ -397,84 +404,26 @@ def simple_census(bound, include_sporadic=True):
         raise ResourceLimitError("census bound is limited to 10^7")
     found = {}      # label -> order
 
-    def put(label, order):
-        if order <= bound:
-            found[label] = order
-
     n = 5
     while factorial(n) // 2 <= bound:
-        put(f"Alt_{n}", factorial(n) // 2)
+        found[f"Alt_{n}"] = factorial(n) // 2
         n += 1
 
-    qs = [q for q in range(2, bound + 1) if prime_power(q)]
-    for q in qs:
-        if q in (2, 3):
-            continue
-        put(f"PSL_2({q})", order_formula(FamilyOrderQuery("PSL", q, 2)).order)
-    for nn in range(3, 20):
-        if 2 ** (nn * (nn - 1) // 2) > bound:
-            break
-        for q in qs:
-            o = order_formula(FamilyOrderQuery("PSL", q, nn)).order
-            if o > bound:
+    for family, first_rank, label in CENSUS_FAMILIES:
+        for n in count(first_rank) if first_rank else (0,):
+            # An order is a product growing with q and n, divided by the
+            # centre, of order at most max(n, 4); so it is not monotone in q
+            # (|PSU_3(8)| < |PSU_3(7)|), but past bound * max(n, 4) no larger
+            # q or rank comes back under the bound.
+            stop = bound * max(n, 4)
+            members = list(takewhile(lambda r: r.order <= stop,
+                                     _family_members(family, n)))
+            if not members:
                 break
-            put(f"PSL_{nn}({q})", o)
-    # symplectic: PSp_n acting on 2n-dim space, n >= 2; Sp_2(2) excluded
-    for nn in range(2, 8):
-        for q in qs:
-            if nn == 2 and q == 2:
-                continue
-            o = order_formula(FamilyOrderQuery("PSp", q, nn)).order
-            if o > bound:
-                break
-            put(f"PSp_{nn}({q})", o)
-    # unitary: PSU_n over the square field, n >= 3; PSU_3(4) excluded
-    for nn in range(3, 8):
-        for q in qs:
-            q2 = q * q
-            if nn == 3 and q == 2:
-                continue
-            o = order_formula(FamilyOrderQuery("PSU", q2, nn)).order
-            if o > bound:
-                break
-            put(f"PSU_{nn}({q2})", o)
-    # orthogonal, odd characteristic only: P-Omega_(2l+1) l >= 3, P-Omega+-_(2l) l >= 4
-    for nn in range(3, 6):
-        for q in qs:
-            if q % 2 == 0:
-                continue
-            o = order_formula(FamilyOrderQuery("POmega_odd", q, nn)).order
-            if o <= bound:
-                put(f"POmega_{2 * nn + 1}({q})", o)
-    for nn in range(4, 6):
-        for q in qs:
-            if q % 2 == 0:
-                continue
-            for fam, tag in (("POmega_even_plus", "+"), ("POmega_even_minus", "-")):
-                o = order_formula(FamilyOrderQuery(fam, q, nn)).order
-                if o <= bound:
-                    put(f"POmega{tag}_{2 * nn}({q})", o)
-    for q in qs:
-        for fam, min_q in (("G2", 3), ("F4", 2), ("E6", 2), ("E7", 2), ("E8", 2),
-                           ("3D4", 2), ("2E6", 2)):
-            if q < min_q:
-                continue
-            try:
-                o = order_formula(FamilyOrderQuery(fam, q)).order
-            except ValidationError:
-                continue
-            if o <= bound:
-                put(f"{fam}({q})", o)
-        for fam, min_q in (("2B2", 8), ("2G2", 27), ("2F4", 8)):
-            try:
-                query = FamilyOrderQuery(fam, q)
-            except ValidationError:
-                continue
-            if q < min_q:
-                continue
-            o = order_formula(query).order
-            if o <= bound:
-                put(f"{fam}({q})", o)
+            for r in members:
+                if r.order <= bound and not r.exceptions:
+                    found[label.format(n=n, q=r.q, odd=2 * n + 1,
+                                       even=2 * n)] = r.order
 
     # one entry per (order, identification class); a label outside the
     # table is its own class, so equal orders alone never merge

@@ -217,6 +217,8 @@ def j_cube_root(num_terms) -> IntegerSeries:
 def leech_theta_prefix(num_terms) -> IntegerSeries:
     """Coefficients N(2m) of the Leech theta series, as the q-series
     (J + 24) * Delta with J = j - 744, exact through q^num_terms."""
+    if num_terms < 0:
+        raise ValidationError("the theta prefix needs num_terms >= 0")
     if num_terms > J_TERM_BOUND:
         raise ResourceLimitError(f"theta prefix capped at {J_TERM_BOUND} terms")
     j = j_expansion(num_terms + 1)

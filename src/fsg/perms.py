@@ -69,15 +69,20 @@ class Permutation:
     def parse(text, degree=0):
         """Parse cycle notation like "(0 1 2)(3 4)" or a JSON-ish image list."""
         text = text.strip()
+
+        def points(body):
+            tokens = body.replace(",", " ").split()
+            if not all(t.isdecimal() for t in tokens):
+                raise ValidationError(f"cannot parse permutation {text!r}")
+            return [int(t) for t in tokens]
+
         if text.startswith("["):
-            images = [int(t) for t in text.strip("[]").replace(",", " ").split()]
-            return Permutation(images)
+            return Permutation(points(text.strip("[]")))
         cycles, i = [], 0
         while i < len(text):
-            if text[i] == "(":
-                j = text.index(")", i)
-                body = text[i + 1:j].replace(",", " ").split()
-                cycles.append([int(t) for t in body])
+            j = text.find(")", i)
+            if text[i] == "(" and j > i:
+                cycles.append(points(text[i + 1:j]))
                 i = j + 1
             elif text[i].isspace():
                 i += 1

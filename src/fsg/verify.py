@@ -100,9 +100,10 @@ def _check_golay():
 
 def _check_leech():
     from .leech import kissing_number_consistency, leech_minimal_vectors
-    counts = {c.shape: c.count for c in leech_minimal_vectors()}
+    census = leech_minimal_vectors()
+    counts = {c.shape: c.count for c in census}
     total = sum(counts.values())
-    theta = kissing_number_consistency()
+    theta = kissing_number_consistency(census)
     ok = (total == 196560 and theta["match"]
           and counts == {"four_four": 1104, "two_octad": 97152,
                          "three_ones": 98304})

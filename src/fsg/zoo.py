@@ -12,11 +12,10 @@ InternalDefectError on mismatch, so a returned group is a verified one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .cayley import CayleyStructure
-from .errors import InternalDefectError, ValidationError
+from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import factorize, is_prime, make_field, prime_power
 from .matgroups import projective_action
 from .perms import PermGroup, Permutation, center_order, group_from_generators
@@ -340,7 +339,6 @@ def automorphism_perms(G, bound=AUTOMORPHISM_BOUND):
     surviving candidate is verified against the full multiplication
     table, so pruning bugs cannot produce false positives.
     """
-    from .errors import ResourceLimitError
     n = G.order()
     if n > bound:
         raise ResourceLimitError(
@@ -445,26 +443,28 @@ def nonabelian_pq_group(p, q):
 # ------------------------------------------------------------------ counting
 
 
-@lru_cache(maxsize=None)
+PARTITION_BOUND = 5000
+
+
 def partition_count(n):
-    """Part(n) by the pentagonal-number recurrence (exact)."""
+    """Part(n) by the pentagonal-number recurrence (exact), bottom-up in
+    one list; n above the fixed PARTITION_BOUND is refused."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total, k = 0, 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    if n > PARTITION_BOUND:
+        raise ResourceLimitError(
+            f"partition counts stop at the fixed bound n = {PARTITION_BOUND}")
+    part = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:     # g and g + k: pentagonal
+            sign = 1 if k % 2 else -1
+            total += sign * part[m - g]
+            if g + k <= m:
+                total += sign * part[m - g - k]
+            k += 1
+        part.append(total)
+    return part[n]
 
 
 def count_abelian_groups(n):

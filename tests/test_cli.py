@@ -175,3 +175,22 @@ def test_zoo_aut_and_holomorph(capsys):
 def test_leech_theta_via_cli(capsys):
     payload = run_json(capsys, "leech", "--theta-terms", "3")
     assert payload["theta_coefficients_by_norm"]["4"] == "196560"
+    payload = run_json(capsys, "leech", "--theta-terms", "0")
+    assert payload == {"theta_coefficients_by_norm": {"0": "1"}}
+    code, out, err = run(capsys, "leech", "--theta-terms", "-1")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--gens", "--contains"])
+def test_malformed_cycle_notation_exit_2(capsys, flag):
+    for text in ("(0 1", "(0 x)", "[1, x]"):
+        code, out, err = run(capsys, "group", "--name", "sym", "--n", "3", flag, text)
+        assert code == 2 and out == "", text
+        assert err.startswith("error: cannot parse permutation"), err
+
+
+def test_zoo_partitions_bound(capsys):
+    payload = run_json(capsys, "zoo", "--partitions", "3000")
+    assert payload["partition_count"].startswith("4960251427975371844")
+    code, out, err = run(capsys, "zoo", "--partitions", "5001")
+    assert code == 3 and out == "" and "fixed bound" in err

@@ -22,6 +22,7 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from fsg.fields import make_field, multiplicative_generator, prime_power
 from fsg.perms import PermGroup, Permutation, center_order, conjugacy_classes
+from fsg.zoo import PARTITION_BOUND, partition_count
 
 
 def random_perm(rng, degree):
@@ -92,3 +93,11 @@ def test_modulus_and_generator_match_sympy():
         assert gf_pow_mod(g, n, modulus, p, ZZ) == [1]
         for r in factorint(n):
             assert gf_pow_mod(g, n // r, modulus, p, ZZ) != [1], (p, f, r)
+
+
+def test_partition_count_matches_sympy():
+    from sympy.functions.combinatorial.numbers import partition
+    rng = random.Random(0)
+    ns = list(range(300)) + rng.sample(range(300, PARTITION_BOUND), 8)
+    for n in ns + [PARTITION_BOUND]:
+        assert partition_count(n) == partition(n), n

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from fsg.errors import ValidationError
 from fsg.golay import build_golay
 from fsg.leech import (
     KISSING_NUMBER,
@@ -61,10 +62,11 @@ def test_membership_conditions():
     assert not _is_leech_vector(y, words)
 
 
-def test_kissing_matches_theta():
+def test_kissing_matches_theta(counts):
     rep = kissing_number_consistency()
     assert rep["match"]
     assert rep["census_total"] == rep["theta_norm4_coefficient"] == 196560
+    assert kissing_number_consistency(counts) == rep
 
 
 def test_theta_prefix_values():
@@ -75,6 +77,9 @@ def test_theta_prefix_values():
     assert th.coeff(3) == 16773120
     # nonnegative as far as tested
     assert all(th.coeff(m) >= 0 for m in range(5))
+    assert leech_theta_prefix(0).coeffs == (1,)
+    with pytest.raises(ValidationError):
+        leech_theta_prefix(-1)
 
 
 def test_norm6_dodecad_sanity():

@@ -1,10 +1,16 @@
 """Order formulas, projective actions, census, identifications."""
 
+import re
+import time
+from collections import Counter
+from math import factorial
+
 import pytest
 
 from fsg.errors import ResourceLimitError, ValidationError
-from fsg.fields import make_field
+from fsg.fields import make_field, prime_power
 from fsg.matgroups import (
+    CENSUS_FAMILIES,
     FamilyOrderQuery,
     KNOWN_ISOMORPHISMS,
     MatrixGF,
@@ -20,6 +26,7 @@ from fsg.perms import (
     is_simple,
     transitivity_degree,
 )
+from fsg.sporadic import sporadic_table
 
 
 def O(family, q, n=0):
@@ -191,6 +198,66 @@ def test_census_20160_split():
     assert len(at) == 2  # Alt_8 = PSL_4(2), and PSL_3(4), not isomorphic
     names = sorted(e.names for e in at)
     assert names == [("Alt_8", "PSL_4(2)"), ("PSL_3(4)",)]
+
+
+def label_order(label):
+    """The order of a census label, read back through order_formula."""
+    if m := re.fullmatch(r"Alt_(\d+)", label):
+        return factorial(int(m[1])) // 2
+    if m := re.fullmatch(r"(PSL|PSp|PSU)_(\d+)\((\d+)\)", label):
+        return O(m[1], int(m[3]), int(m[2]))
+    if m := re.fullmatch(r"POmega_(\d+)\((\d+)\)", label):
+        return O("POmega_odd", int(m[2]), int(m[1]) // 2)
+    if m := re.fullmatch(r"POmega([+-])_(\d+)\((\d+)\)", label):
+        family = "POmega_even_plus" if m[1] == "+" else "POmega_even_minus"
+        return O(family, int(m[3]), int(m[2]) // 2)
+    m = re.fullmatch(r"(\w+)\((\d+)\)", label)
+    return O(m[1], int(m[2]))
+
+
+def test_census_to_ten_million():
+    start = time.perf_counter()
+    entries = simple_census(10 ** 7)
+    assert time.perf_counter() - start < 1.0     # about 3 ms measured
+    assert len(entries) == 97
+    sporadic = {e.symbol: e.order for e in sporadic_table()}
+    for e in entries:
+        for label in e.names:
+            want = sporadic[label] if e.is_sporadic else label_order(label)
+            assert want == e.order, label
+    # the only equal orders of non-isomorphic simple groups below 10^7
+    # (Artin 1955; Kimmerle, Lyons, Sandling and Teague 1990)
+    shared = [o for o, k in Counter(e.order for e in entries).items() if k > 1]
+    assert shared == [20160]
+    # PSL_2(q) is not monotone across q = 256, 257 (odd q halve the order)
+    names = {label for e in entries for label in e.names}
+    assert {"PSL_2(257)", "PSL_2(271)"} <= names
+
+
+def test_census_matches_exhaustive_scan():
+    """Every family member with q < 1000, no early stop, against the census
+    at each bound where the answer changes.  Orders below 10^7 need
+    q < 1000: the smallest member over GF(q) has order about q^3 / 2."""
+    members = {}
+    qs = [q for q in range(2, 1000) if prime_power(q)]
+    for family, first_rank, label in CENSUS_FAMILIES:
+        for n in range(first_rank, 9) if first_rank else (0,):
+            for q in qs:
+                try:
+                    r = order_formula(FamilyOrderQuery(family, q, n))
+                except ValidationError:
+                    continue
+                if r.order <= 10 ** 7 and not r.exceptions:
+                    name = label.format(n=n, q=q, odd=2 * n + 1, even=2 * n)
+                    members[name] = r.order
+    bounds = sorted({o for o in members.values()} | {o - 1 for o in members.values()})
+    for bound in bounds:
+        got = {(name, e.order) for e in simple_census(bound, include_sporadic=False)
+               for name in e.names if not name.startswith("Alt_")}
+        assert got == {(name, o) for name, o in members.items() if o <= bound}, bound
+    # |PSU_3(8)| = 5515776 < |PSU_3(7)| = 5663616: a bound between them
+    assert ("PSU_3(64)", 5515776) in {
+        (name, e.order) for e in simple_census(5600000) for name in e.names}
 
 
 def test_known_isomorphism_table_is_consistent():

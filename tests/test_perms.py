@@ -52,6 +52,12 @@ def test_parse_cycles_and_images():
     assert q.images == (1, 0, 2)
 
 
+@pytest.mark.parametrize("text", ["(0 1", "(0 x)", "[1, x]", "(0 -1)", "(0 1))"])
+def test_parse_refuses_malformed_notation(text):
+    with pytest.raises(ValidationError, match="cannot parse"):
+        Permutation.parse(text)
+
+
 def test_symmetric_group_orders():
     for n in range(2, 7):
         G = sym(n)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from fsg.errors import ValidationError
+from fsg.errors import ResourceLimitError, ValidationError
 from fsg.perms import conjugacy_classes, closure_order, structure_report
 from fsg.zoo import (
+    PARTITION_BOUND,
     AbelianType,
     ActionMap,
     abelian_types,
@@ -171,6 +172,8 @@ def test_partition_counts():
     for n in range(1, 21):
         assert partition_count(n) == brute(n)
     assert partition_count(14) == brute(14) == 135
+    with pytest.raises(ResourceLimitError, match="fixed bound"):
+        partition_count(PARTITION_BOUND + 1)
 
 
 def test_count_abelian_groups():
