@@ -192,7 +192,7 @@ def _cmd_golay(args):
     if args.steiner:
         out["steiner"] = octad_steiner_check(code, exhaustive=not args.fast)
     if args.mathieu:
-        out["mathieu"] = mathieu_m24(code).as_dict()
+        out["mathieu"] = mathieu_m24().as_dict()
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainMismatchError, InternalDefectError, ValidationError
 
@@ -91,9 +92,6 @@ def _build_octonion_table():
     return tuple(tuple(row) for row in table)
 
 
-_OCT_TABLE = None
-
-
 def _mul_coords(table, u, v):
     out = [0] * 8
     for i, a in enumerate(u):
@@ -105,13 +103,11 @@ def _mul_coords(table, u, v):
     return tuple(out)
 
 
+@cache
 def octonion_table():
-    global _OCT_TABLE
-    if _OCT_TABLE is None:
-        table = _build_octonion_table()
-        _validate_octonion_table(table)
-        _OCT_TABLE = table
-    return _OCT_TABLE
+    table = _build_octonion_table()
+    _validate_octonion_table(table)
+    return table
 
 
 def _validate_octonion_table(table):

@@ -516,11 +516,12 @@ def multiplicative_generator(spec: FieldSpec) -> FieldElement:
 
 
 def element_multiplicative_order(spec: FieldSpec, a: FieldElement) -> int:
-    if a.is_zero():
+    """q-1 with each prime r divided out while a^(order/r) = 1."""
+    x = spec._code(a)
+    if not x:
         raise ValidationError("0 has no multiplicative order")
-    one = spec.one()
-    x, k = a, 1
-    while x != one:
-        x = spec.mul(x, a)
-        k += 1
-    return k
+    codes, order = spec.codes, spec.q - 1
+    for r in prime_factors(order):
+        while order % r == 0 and codes.pow(x, order // r) == codes.one:
+            order //= r
+    return order

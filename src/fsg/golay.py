@@ -7,29 +7,31 @@ extension of the length-23 cyclic code spanned by the shifts of the
 quadratic-residue indicator vector; the build verifies dimension 12,
 the weight distribution {0:1, 8:759, 12:2576, 16:759, 24:1} and
 self-duality rather than trusting any tabulated matrix.  With this
-labeling the projective maps x -> x+1 and x -> -1/x act as code
-automorphisms (verified exhaustively), giving a PSL_2(23) subgroup of
-the automorphism group; one more automorphism, found by a deterministic
-backtracking search constrained by the octad Steiner system, generates
-all of M24 together with it.
+labeling M24 = <x -> x+1, x -> -1/x, delta>, where delta fixes 0 and
+infinity and sends a nonzero square x to 9x^3 and a non-square x to
+x^3/9 (Conway, SPLAG ch. 10).  Each generator is verified exhaustively
+to be a code automorphism, and the chain orders of M24 and its one- and
+two-point stabilizers are checked against the M24, M23 and M22 rows of
+the sporadic table.
 
-Codewords are 24-bit integers throughout (bit i = coordinate i).
+Codewords are 24-bit integers throughout (bit i = coordinate i).  The
+code and M24 are built once per process (functools.cache); threads that
+race on the first call may each build, and every build is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
 from .errors import InternalDefectError
 from .perms import PermGroup, Permutation, transitivity_degree
+from .sporadic import sporadic_table
 
 LENGTH = 24
 INFINITY = 23
-
-_cached_code = None
-_cached_m24 = None
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,9 @@ def _gf2_row_reduce(rows):
     return basis
 
 
+@cache
 def build_golay() -> BinaryCode:
     """Deterministic construction, fully verified before returning."""
-    global _cached_code
-    if _cached_code is not None:
-        return _cached_code
     qr = _quadratic_residues(23)
     chi = sum(1 << r for r in qr)
     shifts = []
@@ -111,7 +111,6 @@ def build_golay() -> BinaryCode:
         raise InternalDefectError("Golay weight distribution is wrong")
     if not code.is_self_dual():
         raise InternalDefectError("Golay code failed the self-duality check")
-    _cached_code = code
     return code
 
 
@@ -150,19 +149,6 @@ def octad_steiner_check(code: BinaryCode, exhaustive=True):
     return report
 
 
-def octad_completion_table(code: BinaryCode):
-    """Map each 5-subset (sorted tuple) to the support set of its octad."""
-    table = {}
-    for o in code.octads():
-        support = tuple(i for i in range(LENGTH) if o >> i & 1)
-        sset = frozenset(support)
-        for five in combinations(support, 5):
-            table[five] = sset
-    if len(table) != comb(24, 5):
-        raise InternalDefectError("octads do not cover the 5-subsets exactly once")
-    return table
-
-
 # ---------------------------------------------------------------- mathieu
 
 
@@ -194,93 +180,14 @@ def psl2_23_generators():
     return [shift, Permutation(images)]
 
 
-def _find_extra_automorphism(code: BinaryCode, psl_group: PermGroup):
-    """Deterministic octad-constrained backtracking for one automorphism
-    outside the projective subgroup.
-
-    Fixes 0,1,2,3 pointwise and sends 4 to the smallest workable point
-    other than 4: the only projective element fixing 0,1,2 is the
-    identity (sharp action), so whatever the search returns is new.
-    """
-    completion = octad_completion_table(code)
-    generators = code.generators
-    words = code.codeword_set()
-
-    def search(prefix_target):
-        image = dict(prefix_target)
-        used = set(image.values())
-        domains = {p: set(range(LENGTH)) - used
-                   for p in range(LENGTH) if p not in image}
-
-        def propagate(p, assigned_order):
-            """Octad constraints from the 5-subsets completed by assigning p."""
-            prior = [x for x in assigned_order if x != p]
-            for four in combinations(sorted(prior), 4):
-                five = tuple(sorted(four + (p,)))
-                octad = completion[five]
-                target_five = tuple(sorted(image[x] for x in five))
-                octad_target = completion[target_five]
-                for x in octad:
-                    if x in image:
-                        if image[x] not in octad_target:
-                            return False
-                    else:
-                        domains[x] &= octad_target
-                        if not domains[x]:
-                            return False
-                for x in domains:
-                    if x not in octad:
-                        domains[x] -= octad_target
-                        if not domains[x]:
-                            return False
-            return True
-
-        assigned_order = list(image)
-        for p in list(image):
-            if not propagate(p, assigned_order):
-                return None
-
-        def backtrack():
-            if not domains:
-                perm = Permutation([image[i] for i in range(LENGTH)])
-                if all(apply_permutation_to_word(perm, g) in words
-                       for g in generators):
-                    return perm
-                return None
-            p = min(domains, key=lambda x: (len(domains[x]), x))
-            candidates = sorted(domains[p] - set(image.values()))
-            saved_domains = {x: set(d) for x, d in domains.items()}
-            del domains[p]
-            for v in candidates:
-                image[p] = v
-                assigned_order.append(p)
-                for x in domains:
-                    domains[x] = set(saved_domains[x]) - {v}
-                if all(domains.values()) and propagate(p, assigned_order):
-                    result = backtrack()
-                    if result is not None:
-                        return result
-                assigned_order.pop()
-                del image[p]
-            domains[p] = saved_domains[p]
-            for x in domains:
-                domains[x] = saved_domains[x]
-            return None
-
-        return backtrack()
-
-    for target4 in range(LENGTH):
-        if target4 in (0, 1, 2, 3, 4):
-            continue
-        found = search({0: 0, 1: 1, 2: 2, 3: 3, 4: target4})
-        if found is not None:
-            if found in psl_group:
-                raise InternalDefectError(
-                    "search returned an element of the projective subgroup")
-            return found
-    raise InternalDefectError(
-        "no code automorphism outside the projective subgroup was found; "
-        "partial search state: prefixes 4 -> 5.. exhausted")
+def conway_delta():
+    """Conway's delta: fixes 0 and infinity, x -> 9x^3 for a nonzero
+    square x and x -> x^3/9 for a non-square x, mod 23."""
+    squares = set(_quadratic_residues(23))
+    images = list(range(LENGTH))
+    for x in range(1, 23):
+        images[x] = 9 * x ** 3 % 23 if x in squares else x ** 3 * pow(9, -1, 23) % 23
+    return Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -301,34 +208,29 @@ class MathieuChain:
         }
 
 
-def mathieu_m24(code: BinaryCode = None) -> MathieuChain:
+@cache
+def mathieu_m24() -> MathieuChain:
     """M24 as verified Golay-code automorphisms, with the stabilizer orders
     |M23| and |M22| read off a chain whose base starts 0, 1."""
-    global _cached_m24
-    if code is None:
-        code = build_golay()
-        if _cached_m24 is not None:
-            return _cached_m24
-    psl_gens = psl2_23_generators()
-    for g in psl_gens:
+    code = build_golay()
+    gens = psl2_23_generators() + [conway_delta()]
+    for g in gens:
         if not is_code_automorphism(code, g):
-            raise InternalDefectError("projective generator is not a code automorphism")
-    psl = PermGroup(LENGTH, psl_gens)
-    extra = _find_extra_automorphism(code, psl)
-    if not is_code_automorphism(code, extra):
-        raise InternalDefectError("extra generator is not a code automorphism")
-    group = PermGroup(LENGTH, psl_gens + [extra], base_hint=(0, 1))
+            raise InternalDefectError(f"generator {g.cycle_string()} is not a code automorphism")
+    group = PermGroup(LENGTH, gens, base_hint=(0, 1))
     order = group.order()
     sizes = group.basic_orbit_sizes()
     stab1 = order // sizes[0]
     stab2 = stab1 // sizes[1]
-    chain = MathieuChain(
+    rows = {e.symbol: e.order for e in sporadic_table()}
+    want = (rows["M24"], rows["M23"], rows["M22"])
+    if (order, stab1, stab2) != want:
+        raise InternalDefectError(
+            f"chain orders {(order, stab1, stab2)} are not |M24|, |M23|, |M22| = {want}")
+    return MathieuChain(
         group=group,
         order=order,
         point_stabilizer_order=stab1,
         two_point_stabilizer_order=stab2,
         transitivity=transitivity_degree(group),
     )
-    if code is _cached_code:
-        _cached_m24 = chain
-    return chain

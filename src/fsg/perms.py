@@ -27,6 +27,7 @@ from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
 ENUMERATION_BOUND = 10 ** 6
 EXHAUSTIVE_CLASS_BOUND = 10 ** 5
+PARSE_DEGREE_BOUND = 10 ** 5
 
 
 def enumeration_bound():
@@ -67,17 +68,35 @@ class Permutation:
 
     @staticmethod
     def parse(text, degree=0):
-        """Parse cycle notation like "(0 1 2)(3 4)" or a JSON-ish image list."""
+        """Parse cycle notation like "(0 1 2)(3 4)" or a JSON-ish image list.
+
+        A degree or point above PARSE_DEGREE_BOUND is refused before any
+        image list is allocated.
+        """
         text = text.strip()
+
+        def bounded(n):
+            if n > PARSE_DEGREE_BOUND:
+                raise ResourceLimitError(
+                    f"permutation degree {n} exceeds the fixed bound {PARSE_DEGREE_BOUND}")
+            return n
 
         def points(body):
             tokens = body.replace(",", " ").split()
             if not all(t.isdecimal() for t in tokens):
                 raise ValidationError(f"cannot parse permutation {text!r}")
-            return [int(t) for t in tokens]
+            try:
+                return [int(t) for t in tokens]
+            except ValueError:      # more digits than int() reads, so far above the bound
+                raise ResourceLimitError(
+                    f"a permutation point exceeds the fixed degree bound {PARSE_DEGREE_BOUND}"
+                ) from None
 
+        bounded(degree)
         if text.startswith("["):
-            return Permutation(points(text.strip("[]")))
+            images = points(text.strip("[]"))
+            bounded(len(images))
+            return Permutation(images)
         cycles, i = [], 0
         while i < len(text):
             j = text.find(")", i)
@@ -88,7 +107,7 @@ class Permutation:
                 i += 1
             else:
                 raise ValidationError(f"cannot parse permutation {text!r}")
-        n = max([degree] + [c + 1 for cyc in cycles for c in cyc])
+        n = bounded(max([degree] + [c + 1 for cyc in cycles for c in cyc]))
         return Permutation.from_cycles(n, cycles)
 
     # basic operations ------------------------------------------------------
@@ -478,58 +497,36 @@ class ClassData:
         }
 
 
-def _classes_exhaustive(G):
-    els = G.element_list(EXHAUSTIVE_CLASS_BOUND)
-    index = {g.images: k for k, g in enumerate(els)}
-    gen_pairs = [(g, g.inverse()) for g in G.generators]
-    seen = [False] * len(els)
-    classes = []
-    for start, g in enumerate(els):
-        if seen[start]:
-            continue
-        block = [g]
-        seen[start] = True
-        qi = 0
-        while qi < len(block):
-            x = block[qi]
-            qi += 1
-            for s, s_inv in gen_pairs:
-                y = s * x * s_inv
-                k = index[y.images]
-                if not seen[k]:
-                    seen[k] = True
-                    block.append(y)
-        classes.append(block)
-    return classes
-
-
-def _classes_random_fusion(G, seed=0):
-    """Class census for large groups: conjugation orbits of random seeds,
+def _conjugation_orbits(G, seeds):
+    """The class census: conjugation orbits of the seeds, in seed order,
     complete exactly when the class sizes sum to |G|."""
-    rng = random.Random(seed)
-    known = {}          # element images -> class id
+    known = set()
     classes = []
     total = 0
     order = G.order()
     gen_pairs = [(g, g.inverse()) for g in G.generators]
-    while total < order:
-        g = G.random_element(rng)
+    for g in seeds:
+        if total == order:
+            break
         if g.images in known:
             continue
         block = [g]
-        known[g.images] = len(classes)
-        qi = 0
-        while qi < len(block):
-            x = block[qi]
-            qi += 1
+        known.add(g.images)
+        for x in block:
             for s, s_inv in gen_pairs:
                 y = s * x * s_inv
                 if y.images not in known:
-                    known[y.images] = len(classes)
+                    known.add(y.images)
                     block.append(y)
         classes.append(block)
         total += len(block)
     return classes
+
+
+def _random_elements(G, seed=0):
+    rng = random.Random(seed)
+    while True:
+        yield G.random_element(rng)
 
 
 def full_conjugacy_classes(G: PermGroup, bound=None):
@@ -541,10 +538,9 @@ def full_conjugacy_classes(G: PermGroup, bound=None):
         raise ResourceLimitError(
             f"group order {n} exceeds the class-enumeration bound {bound}; "
             "use the order-formula census for groups of this size")
-    if n <= EXHAUSTIVE_CLASS_BOUND:
-        classes = _classes_exhaustive(G)
-    else:
-        classes = _classes_random_fusion(G)
+    seeds = (G.element_list(EXHAUSTIVE_CLASS_BOUND) if n <= EXHAUSTIVE_CLASS_BOUND
+             else _random_elements(G))
+    classes = _conjugation_orbits(G, seeds)
     if sum(len(c) for c in classes) != n:
         raise AssertionError("class sizes do not sum to the group order")
     def key(block):

@@ -194,3 +194,14 @@ def test_zoo_partitions_bound(capsys):
     assert payload["partition_count"].startswith("4960251427975371844")
     code, out, err = run(capsys, "zoo", "--partitions", "5001")
     assert code == 3 and out == "" and "fixed bound" in err
+
+
+def test_permutation_degree_bound(capsys):
+    from fsg.perms import PARSE_DEGREE_BOUND
+    top = PARSE_DEGREE_BOUND - 1
+    payload = run_json(capsys, "group", "--gens", f"(0 {top})")
+    assert payload["degree"] == PARSE_DEGREE_BOUND and payload["order"] == "2"
+    for argv in (["--gens", f"(0 {top + 1})"], ["--gens", "[1 0]", "--degree", str(top + 2)],
+                 ["--gens", "(0 " + "9" * 5000 + ")"]):
+        code, out, err = run(capsys, "group", *argv)
+        assert code == 3 and out == "" and "fixed" in err, argv

@@ -21,6 +21,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from fsg.fields import make_field, multiplicative_generator, prime_power
+from fsg.golay import mathieu_m24
 from fsg.perms import PermGroup, Permutation, center_order, conjugacy_classes
 from fsg.zoo import PARTITION_BOUND, partition_count
 
@@ -101,3 +102,11 @@ def test_partition_count_matches_sympy():
     ns = list(range(300)) + rng.sample(range(300, PARTITION_BOUND), 8)
     for n in ns + [PARTITION_BOUND]:
         assert partition_count(n) == partition(n), n
+
+
+def test_m24_orders_match_sympy():
+    G = SymGroup([SymPerm(list(g.images)) for g in mathieu_m24().group.generators])
+    assert G.order() == 244823040
+    M23 = G.stabilizer(0)
+    assert M23.order() == 10200960
+    assert M23.stabilizer(1).order() == 443520

@@ -171,6 +171,19 @@ def test_division_by_zero_and_domain_mismatch():
         F5.add(F5.one(), F7.one())
 
 
+def test_element_order_matches_the_step_walk():
+    for q in range(2, 257):
+        if prime_power(q) is None:
+            continue
+        F = make_field(*prime_power(q))
+        codes = F.codes
+        for a in list(F.elements())[1:]:
+            x, k = a.code, 1
+            while x != codes.one:
+                x, k = codes.mul(x, a.code), k + 1
+            assert element_multiplicative_order(F, a) == k, (q, a)
+
+
 def test_field_arithmetic_dispatch():
     F = make_field(5)
     a, b = F.element(2), F.element(4)

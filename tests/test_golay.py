@@ -1,17 +1,22 @@
 """Golay code: weight enumeration, Steiner system, Mathieu chain."""
 
+import sys
+import threading
 from math import comb
 
 import pytest
 
+import fsg.golay as golay_mod
+from fsg.division import octonion_table
+from fsg.errors import InternalDefectError
 from fsg.golay import (
     GOLAY_WEIGHT_DISTRIBUTION,
     INFINITY,
     apply_permutation_to_word,
     build_golay,
+    conway_delta,
     is_code_automorphism,
     mathieu_m24,
-    octad_completion_table,
     octad_steiner_check,
     psl2_23_generators,
 )
@@ -25,7 +30,7 @@ def code():
 
 @pytest.fixture(scope="module")
 def chain(code):
-    return mathieu_m24(code)
+    return mathieu_m24()
 
 
 def test_dimensions_and_weights(code):
@@ -61,20 +66,31 @@ def test_steiner_counting_and_exhaustive(code):
     assert rep["octads_through_pair"] == 77
 
 
-def test_octad_completion_table(code):
-    table = octad_completion_table(code)
-    assert len(table) == comb(24, 5)
-    five = (0, 1, 2, 3, 4)
-    octad = table[five]
-    assert len(octad) == 8 and set(five) <= octad
-
-
 def test_psl_generators_are_automorphisms(code):
     shift, inv = psl2_23_generators()
     assert shift.order() == 23
     assert is_code_automorphism(code, shift)
     assert is_code_automorphism(code, inv)
     assert PermGroup(24, [shift, inv]).order() == 6072  # PSL_2(23)
+
+
+def test_conway_delta_is_an_automorphism_outside_psl(code):
+    delta = conway_delta()
+    assert delta(0) == 0 and delta(INFINITY) == INFINITY
+    assert delta(1) == 9 and delta(5) == 5 ** 3 * 18 % 23    # 1 a square, 5 not
+    assert is_code_automorphism(code, delta)
+    assert delta not in PermGroup(24, psl2_23_generators())
+
+
+def test_m24_refuses_a_generator_inside_psl(monkeypatch):
+    shift, inv = psl2_23_generators()
+    monkeypatch.setattr(golay_mod, "conway_delta", lambda: shift * inv)
+    mathieu_m24.cache_clear()
+    try:
+        with pytest.raises(InternalDefectError, match=r"\(6072, 253, 11\)"):
+            mathieu_m24()
+    finally:
+        mathieu_m24.cache_clear()
 
 
 def test_non_automorphism_detected(code):
@@ -109,16 +125,45 @@ def test_m24_contains_psl_but_is_larger(code, chain):
     assert INFINITY == 23
 
 
+def _builds():
+    chain = mathieu_m24()
+    return (build_golay(), chain.order, chain.point_stabilizer_order,
+            chain.two_point_stabilizer_order, chain.transitivity,
+            [g.images for g in chain.group.generators], octonion_table())
+
+
+def _clear_caches():
+    for builder in (build_golay, mathieu_m24, octonion_table):
+        builder.cache_clear()
+
+
 def test_construction_is_deterministic(code):
-    import fsg.golay as golay_mod
-    # bypass the module caches and rebuild everything from scratch
-    saved_code, saved_m24 = golay_mod._cached_code, golay_mod._cached_m24
+    before = _builds()
+    _clear_caches()         # rebuild everything from scratch
+    assert _builds() == before
+    assert build_golay().generators == code.generators
+
+
+def test_threads_build_the_same_objects():
+    _clear_caches()
+    expected = _builds()
+    _clear_caches()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait(timeout=10)
+        results[k] = _builds()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        golay_mod._cached_code = golay_mod._cached_m24 = None
-        rebuilt = build_golay()
-        assert rebuilt.generators == code.generators
-        chain2 = mathieu_m24(rebuilt)
-        assert [g.images for g in chain2.group.generators] == \
-            [g.images for g in mathieu_m24(code).group.generators]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
-        golay_mod._cached_code, golay_mod._cached_m24 = saved_code, saved_m24
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)

@@ -234,10 +234,10 @@ def test_cauchy_involution_parity():
 def test_random_fusion_classes_agree_with_exhaustive():
     # the seeded-fusion path used for orders between 1e5 and 1e6 must give
     # the same census as the exhaustive one; compare on S6 directly
-    from fsg.perms import _classes_exhaustive, _classes_random_fusion
+    from fsg.perms import _conjugation_orbits, _random_elements
     G = sym(6)
-    ex = sorted(len(c) for c in _classes_exhaustive(G))
-    fu = sorted(len(c) for c in _classes_random_fusion(G))
+    ex = sorted(len(c) for c in _conjugation_orbits(G, G.element_list()))
+    fu = sorted(len(c) for c in _conjugation_orbits(G, _random_elements(G)))
     assert ex == fu
     assert sum(fu) == 720
 
