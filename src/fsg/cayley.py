@@ -33,9 +33,6 @@ class CayleyStructure:
             self.inverse[i] = self.index[g.inverse().images]
         self.orders = [g.order() for g in self.elements]
 
-    def mult(self, i, j):
-        return self.table[i][j]
-
     def generator_indices(self):
         return [self.index[g.images] for g in self.group.generators]
 
@@ -48,12 +45,13 @@ class CayleyStructure:
             if i in closure:
                 continue
             chosen.append(i)
-            closure = self._closure(chosen)
+            closure = self.closure(chosen)
             if len(closure) == self.n:
                 return chosen
         return chosen  # trivial group: []
 
-    def _closure(self, gens):
+    def closure(self, gens):
+        """Indices of the subgroup generated by the element indices gens."""
         seen = {self.identity_index}
         queue = [self.identity_index]
         qi = 0
@@ -66,6 +64,3 @@ class CayleyStructure:
                     seen.add(y)
                     queue.append(y)
         return seen
-
-    def subgroup_closure(self, gens):
-        return self._closure(list(gens))

@@ -107,9 +107,6 @@ class CharacterTable:
     exponent: int
     group_order: int
 
-    def reduced(self, i, j):
-        return reduce_root_vector(self.values[i][j], self.exponent)
-
     def as_integer_matrix(self):
         """The table as plain integers; None where a value is irrational."""
         out = []
@@ -229,15 +226,6 @@ def _abelian_characters(G, reps, m):
     cs = CayleyStructure(G)
     n = cs.n
 
-    def closure(idxs):
-        return cs.subgroup_closure(idxs)
-
-    def power(i, k):
-        out = cs.identity_index
-        for _ in range(k):
-            out = cs.table[out][i]
-        return out
-
     factors = []          # (element index, order of its direct factor)
     H = {cs.identity_index}
     Hgens = []
@@ -263,7 +251,7 @@ def _abelian_characters(G, reps, m):
             raise InternalDefectError("cyclic factor lift failed")
         factors.append((lifted, best_ord))
         Hgens.append(lifted)
-        H = closure(Hgens)
+        H = cs.closure(Hgens)
 
     # coordinate chart: exponent tuples -> element, must be bijective
     coords = {}

@@ -137,6 +137,8 @@ def _cmd_zoo(args):
         return {"entries": [e.as_dict() for e in small_group_catalog()]}
     if args.partitions is not None:
         n = args.partitions
+        if n < 1:       # n is also the order of the abelian groups counted
+            raise ValidationError(f"--partitions takes n >= 1, got {n}")
         return {"n": n, "partition_count": str(partition_count(n)),
                 "abelian_groups_of_order_n": str(count_abelian_groups(n))}
     if args.aut:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import DomainMismatchError, InternalDefectError, ValidationError
+from .errors import InternalDefectError, ValidationError
 
 FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
               (5, 6, 1), (6, 7, 2), (7, 1, 3))
@@ -65,12 +65,6 @@ class Quaternion:
             return None
         c = self.conjugate()
         return Quaternion(c.u / n, c.x / n, c.y / n, c.z / n)
-
-
-QUAT_ONE = Quaternion.of(1)
-QUAT_I = Quaternion.of(0, 1)
-QUAT_J = Quaternion.of(0, 0, 1)
-QUAT_K = Quaternion.of(0, 0, 0, 1)
 
 
 def _build_octonion_table():
@@ -169,43 +163,6 @@ class Octonion:
         if n == 0:
             return None
         return Octonion(tuple(c / n for c in self.conjugate().coords))
-
-
-OCT_ONE = Octonion.of(1)
-
-
-def multiply(algebra, a, b):
-    """Dispatch by algebra tag: 'H' for quaternions, 'O' for octonions."""
-    if algebra == "H":
-        if not (isinstance(a, Quaternion) and isinstance(b, Quaternion)):
-            raise DomainMismatchError("expected quaternion operands")
-        return a * b
-    if algebra == "O":
-        if not (isinstance(a, Octonion) and isinstance(b, Octonion)):
-            raise DomainMismatchError("expected octonion operands")
-        return a * b
-    raise ValidationError(f"unknown algebra {algebra!r}; use 'H' or 'O'")
-
-
-def conj_norm_inverse(algebra, a):
-    """(conjugate, norm, inverse-or-None), with the inverse certified by
-    multiplying back to 1 and the norm certified as conj(a)*a."""
-    if algebra not in ("H", "O"):
-        raise ValidationError(f"unknown algebra {algebra!r}")
-    conj = a.conjugate()
-    norm = a.norm()
-    prod = conj * a
-    one = QUAT_ONE if algebra == "H" else OCT_ONE
-    scaled = (Quaternion.of(norm) if algebra == "H"
-              else Octonion.of(norm))
-    if prod != scaled:
-        raise InternalDefectError("norm is not conj(a) * a")
-    inv = a.inverse()
-    if inv is not None:
-        back = a * inv
-        if back != one:
-            raise InternalDefectError("inverse certificate failed")
-    return conj, norm, inv
 
 
 def _random_fraction(rng):

@@ -43,10 +43,20 @@ def max_field_size():
     return int(os.environ.get("FSG_MAX_FIELD_SIZE", DEFAULT_MAX_FIELD_SIZE))
 
 
+TRIAL_DIVISION_BOUND = 10 ** 6
+
+
 def smallest_divisor(n: int) -> int:
-    for d in range(2, isqrt(n) + 1):
+    """The smallest prime factor of n >= 2 by trial division, which stops
+    at the fixed TRIAL_DIVISION_BOUND: that settles every n up to its
+    square, and a larger n with no factor below it is refused."""
+    for d in range(2, min(isqrt(n), TRIAL_DIVISION_BOUND) + 1):
         if n % d == 0:
             return d
+    if n > TRIAL_DIVISION_BOUND ** 2:
+        raise ResourceLimitError(
+            f"a number above 10^12 with no factor up to the fixed trial-division "
+            f"bound {TRIAL_DIVISION_BOUND} cannot be tested for primality")
     return n
 
 
@@ -478,22 +488,6 @@ def frobenius_orbit(spec: FieldSpec, a: FieldElement) -> list:
         orbit.append(x)
         x = spec.frobenius(x)
     return orbit
-
-
-def frobenius_is_automorphism(spec: FieldSpec) -> bool:
-    """Exhaustively verify that x -> x^p preserves both field operations.
-
-    Quadratic in q; intended for the test sizes (q <= 256).
-    """
-    els = list(spec.elements())
-    frob = {a: spec.frobenius(a) for a in els}
-    for a in els:
-        for b in els:
-            if frob[spec.add(a, b)] != spec.add(frob[a], frob[b]):
-                return False
-            if frob[spec.mul(a, b)] != spec.mul(frob[a], frob[b]):
-                return False
-    return True
 
 
 def frobenius_order(spec: FieldSpec) -> int:

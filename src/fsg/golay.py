@@ -61,9 +61,6 @@ class BinaryCode:
     def octads(self):
         return sorted(w for w in self.codewords() if w.bit_count() == 8)
 
-    def contains(self, word):
-        return word in self.codeword_set()
-
     def is_self_dual(self):
         if 2 * self.dimension != self.length:
             return False

@@ -70,18 +70,16 @@ def _enumerate_four_four(code):
     return count
 
 
-def _enumerate_two_octad(code):
-    """Vectors (+-2^8, 0^16) on octad supports with even minus count."""
-    codewords = code.codeword_set()
+def _signed_twos(word, codewords):
+    """Vectors (+-2 on the support of word, 0 elsewhere): all sign choices."""
+    support = [i for i in range(LENGTH) if word >> i & 1]
     count = 0
-    for octad in code.octads():
-        support = [i for i in range(LENGTH) if octad >> i & 1]
-        for signs in range(256):
-            x = [0] * LENGTH
-            for b, i in enumerate(support):
-                x[i] = -2 if signs >> b & 1 else 2
-            if _is_leech_vector(x, codewords):
-                count += 1
+    for signs in range(1 << len(support)):
+        x = [0] * LENGTH
+        for b, i in enumerate(support):
+            x[i] = -2 if signs >> b & 1 else 2
+        if _is_leech_vector(x, codewords):
+            count += 1
     return count
 
 
@@ -112,6 +110,7 @@ def leech_minimal_vectors(code: BinaryCode = None):
     """
     if code is None:
         code = build_golay()
+    codewords = code.codeword_set()
     closed = {
         "four_four": 4 * comb(LENGTH, 2),
         "two_octad": len(code.octads()) * 2 ** 7,
@@ -119,7 +118,7 @@ def leech_minimal_vectors(code: BinaryCode = None):
     }
     enumerated = {
         "four_four": _enumerate_four_four(code),
-        "two_octad": _enumerate_two_octad(code),
+        "two_octad": sum(_signed_twos(w, codewords) for w in code.octads()),
         "three_ones": _enumerate_three_ones(code),
     }
     if closed != enumerated:
@@ -155,17 +154,8 @@ def norm6_dodecad_lower_bound(code: BinaryCode = None):
     """
     if code is None:
         code = build_golay()
-    codewords = code.codeword_set()
     dodecads = [w for w in code.codewords() if w.bit_count() == 12]
-    first = dodecads[0]
-    support = [i for i in range(LENGTH) if first >> i & 1]
-    per_dodecad = 0
-    for signs in range(4096):
-        x = [0] * LENGTH
-        for b, i in enumerate(support):
-            x[i] = -2 if signs >> b & 1 else 2
-        if _is_leech_vector(x, codewords):
-            per_dodecad += 1
+    per_dodecad = _signed_twos(dodecads[0], code.codeword_set())
     theta = leech_theta_prefix(4)
     n6 = theta.coeff(3)
     bound = len(dodecads) * per_dodecad

@@ -332,9 +332,6 @@ class PermGroup:
     def order(self):
         return self._order
 
-    def base(self):
-        return [lev.base for lev in self.levels]
-
     def basic_orbit_sizes(self):
         return [len(lev.orbit) for lev in self.levels]
 
@@ -422,10 +419,6 @@ class PermGroup:
 def group_from_generators(degree, gens, base_hint=()):
     """Group from generator permutations; empty input gives the trivial group."""
     return PermGroup(degree, gens, base_hint=base_hint)
-
-
-def contains(G: PermGroup, pi: Permutation) -> bool:
-    return pi in G
 
 
 def orbit_partition(G: PermGroup):

@@ -162,11 +162,3 @@ def sporadic_table():
         raise InternalDefectError(f"generation counts {counts} are off")
     return entries
 
-
-def pariah_symbols():
-    return tuple(e.symbol for e in sporadic_table() if e.generation == "pariah")
-
-
-def orders_not_divisible_by(prime):
-    """Symbols of sporadic groups whose order misses the given prime."""
-    return tuple(e.symbol for e in sporadic_table() if e.order % prime != 0)

@@ -266,24 +266,11 @@ def trivial_action(A, B):
     return ActionMap(A, B, tuple(tuple(range(n)) for _ in B.generators))
 
 
-def inversion_action(A, B):
-    """Each B-generator acts by x -> x^{-1}; an automorphism iff A is abelian."""
-    cs = CayleyStructure(A)
-    inv = tuple(cs.inverse)
-    return ActionMap(A, B, tuple(inv for _ in B.generators))
-
-
 def power_action(A, B, k):
-    """Each B-generator acts by x -> x^k."""
+    """Each B-generator acts by x -> x^k; k = -1 is inversion, an
+    automorphism iff A is abelian."""
     cs = CayleyStructure(A)
-
-    def pw(i):
-        out = cs.identity_index
-        for _ in range(k):
-            out = cs.table[out][i]
-        return out
-
-    phi = tuple(pw(i) for i in range(cs.n))
+    phi = tuple(cs.index[(g ** k).images] for g in cs.elements)
     return ActionMap(A, B, tuple(phi for _ in B.generators))
 
 
@@ -476,41 +463,6 @@ def count_abelian_groups(n):
     for e in factorize(n).values():
         total *= partition_count(e)
     return total
-
-
-@dataclass(frozen=True)
-class AbelianType:
-    """An abelian group of given order as a product of prime-power cyclics."""
-
-    factors: tuple
-
-    def order(self):
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
-
-
-def _partitions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def abelian_types(n):
-    """Every abelian group of order n, one AbelianType per isomorphism class."""
-    types = [()]
-    for p, e in factorize(n).items():
-        new = []
-        for part in _partitions(e):
-            block = tuple(p ** k for k in part)
-            new.extend(t + block for t in types)
-        types = new
-    return [AbelianType(tuple(sorted(t, reverse=True))) for t in types]
 
 
 # ------------------------------------------------------------------- catalog

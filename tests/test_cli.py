@@ -81,6 +81,19 @@ def test_field_resource_exit_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "orders --family PSL --n 95 --q 3",          # 4306 digits
+    "orders --family PSL --n 10000 --q 3",
+    "orders --family E8 --q " + str(2 ** 4000),
+    "orders --family PSL --n 2 --q 1000000000000000003",
+    "field --p 1000000000000000003",
+])
+def test_orders_and_field_refuse_up_front(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert "fixed" in err and ("4300" in err or "1000000" in err), err
+
+
+@pytest.mark.parametrize("argv", [
     "--p 7 --op inv --a 0",
     "--p 7 --op pow --a 0 --b -1",
     "--p 7 --op add --a 1",
@@ -194,6 +207,8 @@ def test_zoo_partitions_bound(capsys):
     assert payload["partition_count"].startswith("4960251427975371844")
     code, out, err = run(capsys, "zoo", "--partitions", "5001")
     assert code == 3 and out == "" and "fixed bound" in err
+    code, out, err = run(capsys, "zoo", "--partitions", "-1")
+    assert code == 2 and out == "" and "--partitions takes n >= 1" in err
 
 
 def test_permutation_degree_bound(capsys):

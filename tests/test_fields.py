@@ -13,7 +13,6 @@ from fsg.errors import DomainMismatchError, ResourceLimitError, ValidationError
 from fsg.fields import (
     element_multiplicative_order,
     field_arithmetic,
-    frobenius_is_automorphism,
     frobenius_orbit,
     frobenius_order,
     make_field,
@@ -115,7 +114,6 @@ def test_multiplicative_group_cyclic(p, f):
 @pytest.mark.parametrize("p,f", SMALL_Q)
 def test_frobenius_morphism_and_order(p, f):
     F = make_field(p, f)
-    assert frobenius_is_automorphism(F)
     assert frobenius_order(F) == f
 
 
@@ -200,6 +198,15 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(8) == [2]
     assert prime_factors(360) == [2, 3, 5]
+
+
+def test_trial_division_bound():
+    assert fields.is_prime(999999999989)            # the largest prime below 10^12
+    assert prime_power(2 ** 61) == (2, 61)
+    assert prime_power(3 * (10 ** 18 + 3)) is None  # a factor below the bound
+    for n in (10 ** 12 + 39, 10 ** 18 + 3):         # primes above 10^12
+        with pytest.raises(ResourceLimitError, match="fixed trial-division bound"):
+            prime_power(n)
 
 
 @settings(max_examples=60, deadline=None)

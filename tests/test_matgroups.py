@@ -3,7 +3,8 @@
 import re
 import time
 from collections import Counter
-from math import factorial
+from itertools import product
+from math import factorial, log10
 
 import pytest
 
@@ -11,15 +12,17 @@ from fsg.errors import ResourceLimitError, ValidationError
 from fsg.fields import make_field, prime_power
 from fsg.matgroups import (
     CENSUS_FAMILIES,
+    FAMILY_TAGS,
     FamilyOrderQuery,
     KNOWN_ISOMORPHISMS,
-    MatrixGF,
-    all_invertible_matrices,
+    ORDER_DIGIT_BOUND,
+    _degree,
+    _exact_sqrt,
+    _resolve,
     census_table,
     order_formula,
     projective_action,
     simple_census,
-    verify_claimed_identifications,
 )
 from fsg.perms import (
     conjugacy_classes,
@@ -110,6 +113,25 @@ def test_dimension_count_identities():
     for n in range(1, 12):
         assert n * n - n * (n + 1) // 2 == n * (n - 1) // 2
         assert n * n - n * (n - 1) // 2 == n * (n + 1) // 2
+
+
+def test_order_digit_bound():
+    # |PSL_2(2^k)| = 2^k (4^k - 1) has 4300 digits at k = 4761, 4301 at 4762
+    assert len(str(O("PSL", 2 ** 4761, 2))) == ORDER_DIGIT_BOUND
+    with pytest.raises(ResourceLimitError, match="fixed bound of 4300"):
+        O("PSL", 2 ** 4762, 2)
+    # the degree test refuses only where base^degree is past the bound,
+    # and each order lies well within the 10 digits it allows for
+    for fam in FAMILY_TAGS:
+        for n in range(1, 9):
+            for q in (2, 3, 4, 8, 9, 25, 27, 32, 49, 121, 128, 2187):
+                try:
+                    r = order_formula(FamilyOrderQuery(fam, q, n))
+                except ValidationError:
+                    continue
+                f, m = _resolve(fam, n)
+                base = _exact_sqrt(q) if f == "PSU" else q
+                assert abs(log10(r.order) - _degree(f, m) * log10(base)) < 2
 
 
 def test_field_constraints():
@@ -265,33 +287,38 @@ def test_known_isomorphism_table_is_consistent():
         assert len(iso) >= 2
 
 
-def test_verify_claimed_identifications():
-    report = verify_claimed_identifications()
-    assert all(r["pass"] for r in report)
-    claims = {r["claim"] for r in report}
-    assert any("Alt_8" in c for c in claims)
+def _det2(m, p):
+    (a, b), (c, d) = m
+    return (a * d - b * c) % p
+
+
+def _mul2(x, y, p):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) % p
+                       for j in range(2)) for i in range(2))
+
+
+def _invertible_2x2(p):
+    """Every member of GL_2(p) as a pair of integer rows mod p."""
+    grids = (((a, b), (c, d)) for a, b, c, d in product(range(p), repeat=4))
+    return [m for m in grids if _det2(m, p)]
 
 
 def test_matrix_determinants():
-    F = make_field(3)
-    m = MatrixGF.from_ints(F, [[1, 2], [0, 1]])
-    assert m.determinant() == F.one()
-    singular = MatrixGF.from_ints(F, [[1, 2], [2, 1]])
-    assert singular.determinant().is_zero()  # det = 1 - 4 = -3 = 0 mod 3
+    assert _det2(((1, 2), (0, 1)), 3) == 1
+    assert _det2(((1, 2), (2, 1)), 3) == 0  # det = 1 - 4 = -3 = 0 mod 3
     # invertible count matches |GL_2(3)| = 48
-    assert len(all_invertible_matrices(F, 2)) == O("GL", 3, 2) == 48
+    assert len(_invertible_2x2(3)) == O("GL", 3, 2) == 48
 
 
 def test_symplectic_2x2_matrices_are_unimodular():
     # a 2x2 matrix preserving the standard alternating form has det 1,
     # i.e. Sp sits inside SL already in the first rank
     for p in (3, 5):
-        F = make_field(p)
-        j = MatrixGF.from_ints(F, [[0, 1], [p - 1, 0]])
-        sp_members = [m for m in all_invertible_matrices(F, 2)
-                      if m.transpose().mul(j).mul(m).entries == j.entries]
+        j = ((0, 1), (p - 1, 0))
+        sp_members = [m for m in _invertible_2x2(p)
+                      if _mul2(_mul2(tuple(zip(*m)), j, p), m, p) == j]
         assert len(sp_members) == O("SL", p, 2)
-        assert all(m.determinant() == F.one() for m in sp_members)
+        assert all(_det2(m, p) == 1 for m in sp_members)
 
 
 def test_twisted_tags_match_untwisted_families():

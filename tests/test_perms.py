@@ -10,7 +10,6 @@ from fsg.perms import (
     Permutation,
     closure_order,
     conjugacy_classes,
-    contains,
     element_order_histogram,
     group_from_generators,
     is_simple,
@@ -70,19 +69,19 @@ def test_symmetric_group_orders():
 def test_gens_pass_membership_and_identity():
     G = sym(4)
     for g in G.generators:
-        assert contains(G, g)
-    assert contains(G, Permutation.identity(4))
-    assert not contains(alt(4), cyc(4, (0, 1)))
-    assert contains(alt(6), cyc(6, (0, 1, 2), (3, 4, 5)))
+        assert g in G
+    assert Permutation.identity(4) in G
+    assert cyc(4, (0, 1)) not in alt(4)
+    assert cyc(6, (0, 1, 2), (3, 4, 5)) in alt(6)
     with pytest.raises(DomainMismatchError):
-        contains(G, Permutation.identity(5))
+        Permutation.identity(5) in G
 
 
 def test_trivial_group():
     G = group_from_generators(3, [])
     assert G.order() == 1
-    assert contains(G, Permutation.identity(3))
-    assert not contains(G, cyc(3, (0, 1)))
+    assert Permutation.identity(3) in G
+    assert cyc(3, (0, 1)) not in G
 
 
 def test_chain_vs_closure_oracle():

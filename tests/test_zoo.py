@@ -2,13 +2,12 @@
 
 import pytest
 
+from fsg.cayley import CayleyStructure
 from fsg.errors import ResourceLimitError, ValidationError
 from fsg.perms import conjugacy_classes, closure_order, structure_report
 from fsg.zoo import (
     PARTITION_BOUND,
-    AbelianType,
     ActionMap,
-    abelian_types,
     automorphism_group,
     clifford,
     construct_named,
@@ -20,7 +19,6 @@ from fsg.zoo import (
     elementary_abelian,
     frobenius21,
     holomorph,
-    inversion_action,
     nonabelian_pq_group,
     partition_count,
     power_action,
@@ -92,7 +90,7 @@ def test_clifford2_matches_quaternion_invariants():
 
 def test_semidirect_products():
     A, B = cyclic(3), cyclic(2)
-    s3 = semidirect_product(A, B, inversion_action(A, B))
+    s3 = semidirect_product(A, B, power_action(A, B, -1))
     assert s3.order() == 6 and not s3.is_abelian()
 
     A, B = cyclic(7), cyclic(3)
@@ -118,7 +116,24 @@ def test_semidirect_rejects_non_automorphism():
 def test_inversion_action_requires_abelian_target_for_consistency():
     A, B = symmetric(3), cyclic(2)
     with pytest.raises(ValidationError):
-        inversion_action(A, B)  # x -> x^-1 is not a morphism of S3
+        power_action(A, B, -1)  # x -> x^-1 is not a morphism of S3
+
+
+def test_power_action_matches_the_table_walk():
+    B = cyclic(2)
+    for n in range(3, 13):
+        A = cyclic(n)
+        cs = CayleyStructure(A)
+        assert power_action(A, B, -1).assignment == (tuple(cs.inverse),)
+        for k in (0, n, n + 1, 2 * n + 3):
+            walk = [cs.identity_index] * n         # x -> x^k, one step per power
+            for _ in range(k):
+                walk = [cs.table[w][i] for i, w in enumerate(walk)]
+            if sorted(walk) == list(range(n)):
+                assert power_action(A, B, k).assignment == (tuple(walk),)
+            else:
+                with pytest.raises(ValidationError, match="bijection"):
+                    power_action(A, B, k)
 
 
 def test_automorphism_groups():
@@ -181,10 +196,13 @@ def test_count_abelian_groups():
     assert count_abelian_groups(720) == 10
     assert count_abelian_groups(1024) == 42
     assert count_abelian_groups(12) == 2
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import partition
     for n in range(1, 201):
-        types = abelian_types(n)
-        assert len(types) == count_abelian_groups(n)
-        assert all(isinstance(t, AbelianType) and t.order() == n for t in types)
+        expected = 1
+        for e in sympy.factorint(n).values():
+            expected *= partition(e)
+        assert count_abelian_groups(n) == expected
 
 
 def test_structure_of_s4_as_holomorph():
