@@ -10,17 +10,19 @@ from __future__ import annotations
 
 from .errors import ResourceLimitError
 
+CAYLEY_BOUND = 2048
+
 
 class CayleyStructure:
     """Elements of a PermGroup indexed 0..n-1 with full product table."""
 
-    def __init__(self, group, bound=2048):
+    def __init__(self, group):
         n = group.order()
-        if n > bound:
+        if n > CAYLEY_BOUND:
             raise ResourceLimitError(
-                f"group order {n} exceeds the Cayley-table bound {bound}")
+                f"group order {n} exceeds the fixed Cayley-table bound {CAYLEY_BOUND}")
         self.group = group
-        self.elements = group.element_list(bound)
+        self.elements = group.element_list()
         self.index = {g.images: i for i, g in enumerate(self.elements)}
         self.n = n
         self.table = [

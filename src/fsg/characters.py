@@ -22,6 +22,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 from .cayley import CayleyStructure
@@ -36,6 +37,7 @@ LIFTING_PRIME_CAP = 10 ** 6
 # ---------------------------------------------------------------- cyclotomic
 
 
+@cache
 def cyclotomic_polynomial(m):
     """Coefficients of Phi_m, low degree first, by recursive exact division."""
     if m == 1:
@@ -63,11 +65,10 @@ def _poly_div_exact(num, den):
     return out
 
 
-def reduce_root_vector(vec, m, phi=None):
+def reduce_root_vector(vec, m):
     """Canonical form of sum_k vec[k] * zeta_m^k: the remainder modulo
     Phi_m, a tuple of euler_phi(m) integers in the power basis."""
-    if phi is None:
-        phi = cyclotomic_polynomial(m)
+    phi = cyclotomic_polynomial(m)
     rem = list(vec)
     deg = len(phi) - 1
     for k in range(len(rem) - 1, deg - 1, -1):
@@ -122,14 +123,13 @@ class CharacterTable:
         """Exact Eq-style column relations: conjugate-weighted inner product
         of columns i and j equals |G|/|C_i| when i = j and 0 otherwise."""
         m, r = self.exponent, len(self.degrees)
-        phi = cyclotomic_polynomial(m)
         for i in range(r):
             for j in range(r):
                 acc = [0] * m
                 for row in self.values:
                     prod = _conv_mod_m(row[i], _conj_vector(row[j], m), m)
                     acc = [a + p for a, p in zip(acc, prod)]
-                red = reduce_root_vector(acc, m, phi)
+                red = reduce_root_vector(acc, m)
                 want = self.group_order // self.class_sizes[i] if i == j else 0
                 if red[0] != want or any(c != 0 for c in red[1:]):
                     return False
@@ -147,8 +147,8 @@ class CharacterTable:
         }
 
 
-def _sorted_classes(G, bound):
-    classes = full_conjugacy_classes(G, bound)
+def _sorted_classes(G):
+    classes = full_conjugacy_classes(G)
     def key(block):
         rep = min(block, key=lambda g: g.images)
         return (rep.order(), len(block), rep.images)
@@ -156,21 +156,20 @@ def _sorted_classes(G, bound):
 
 
 def _row_sort(degrees, rows, m):
-    phi = cyclotomic_polynomial(m)
     def key(pair):
         d, row = pair
-        canon = tuple(reduce_root_vector(v, m, phi) for v in row)
+        canon = tuple(reduce_root_vector(v, m) for v in row)
         return (d, tuple(tuple(-c for c in vec) for vec in canon))
     paired = sorted(zip(degrees, rows), key=key)
     return tuple(p[0] for p in paired), tuple(p[1] for p in paired)
 
 
-def character_table(G: PermGroup, bound=CHARACTER_BOUND) -> CharacterTable:
+def character_table(G: PermGroup) -> CharacterTable:
     n = G.order()
-    if n > bound:
-        raise ResourceLimitError(
-            f"character tables are limited to order {bound}; group has {n}")
-    classes = _sorted_classes(G, bound)
+    if n > CHARACTER_BOUND:
+        raise ResourceLimitError(f"character tables are limited to the fixed bound "
+                                 f"of order {CHARACTER_BOUND}; group has {n}")
+    classes = _sorted_classes(G)
     reps = [min(block, key=lambda g: g.images) for block in classes]
     sizes = tuple(len(b) for b in classes)
     rep_orders = tuple(r.order() for r in reps)

@@ -88,8 +88,8 @@ def _cmd_field(args):
 
 def _cmd_group(args):
     from .perms import (Permutation, conjugacy_classes, element_order_histogram,
-                        group_from_generators, is_simple, orbit_partition,
-                        structure_report, transitivity_degree)
+                        group_from_generators, is_simple, structure_report,
+                        transitivity_degree)
     from .zoo import construct_named
     if args.gens:
         perms = [Permutation.parse(t, degree=args.degree or 0)
@@ -116,7 +116,7 @@ def _cmd_group(args):
             "abelianization_order": ab,
             "perfect": perfect,
             "transitivity": {"k": k, "sharp": sharp},
-            "orbits": orbit_partition(G),
+            "orbits": G.orbits(),
         })
     if args.histogram:
         h = element_order_histogram(G)

@@ -36,13 +36,6 @@ from operator import index, itemgetter
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
 DEFAULT_MAX_FIELD_SIZE = 2 ** 20
-
-
-def max_field_size():
-    """The q bound; overridable with the FSG_MAX_FIELD_SIZE variable."""
-    return int(os.environ.get("FSG_MAX_FIELD_SIZE", DEFAULT_MAX_FIELD_SIZE))
-
-
 TRIAL_DIVISION_BOUND = 10 ** 6
 
 
@@ -65,16 +58,13 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization as an ordered dict prime -> exponent."""
+    """Prime factorization as an ordered dict prime -> exponent, by
+    repeated smallest_divisor, so under its fixed bound."""
     out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = 1
+    while n > 1:
+        d = smallest_divisor(n)
+        out[d] = out.get(d, 0) + 1
+        n //= d
     return out
 
 
@@ -435,23 +425,24 @@ class FieldElement(tuple):
         return "+".join(terms) if terms else "0"
 
 
-def make_field(p: int, f: int = 1, max_size: int = None) -> FieldSpec:
+def make_field(p: int, f: int = 1) -> FieldSpec:
     """Construct F_{p^f} with the deterministic modulus choice.
 
     For f = 1 the modulus is the identity polynomial t, so elements are
-    the residues 0..p-1 themselves.
+    the residues 0..p-1 themselves.  q is bounded by DEFAULT_MAX_FIELD_SIZE,
+    or by the FSG_MAX_FIELD_SIZE setting.
     """
-    if max_size is None:
-        max_size = max_field_size()
-    if not is_prime(p):
-        raise ValidationError(f"p = {p} is not prime" + (
-            f" (divisible by {smallest_divisor(p)})" if p > 1 else ""))
+    d = smallest_divisor(p) if p > 1 else None
+    if d != p:
+        raise ValidationError(
+            f"p = {p} is not prime" + (f" (divisible by {d})" if d else ""))
     if f < 1:
         raise ValidationError(f"exponent f must be >= 1, got {f}")
+    max_size = int(os.environ.get("FSG_MAX_FIELD_SIZE", DEFAULT_MAX_FIELD_SIZE))
     # 2^f > max_size already refuses, before p^f is computed
     if f >= max_size.bit_length() or p ** f > max_size:
-        raise ResourceLimitError(
-            f"field size {p}^{f} exceeds the configured bound {max_size}")
+        raise ResourceLimitError(f"field size {p}^{f} exceeds the bound {max_size} "
+                                 "(setting FSG_MAX_FIELD_SIZE)")
     q = p ** f
     if f == 1:
         modulus = (0, 1)

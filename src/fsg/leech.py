@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalDefectError
-from .golay import LENGTH, BinaryCode, build_golay
+from .golay import LENGTH, build_golay
 from .moonshine import leech_theta_prefix
 
 KISSING_NUMBER = 196560
@@ -102,14 +102,13 @@ def _enumerate_three_ones(code):
     return count
 
 
-def leech_minimal_vectors(code: BinaryCode = None):
+def leech_minimal_vectors():
     """Census of the norm-4 vectors by coordinate shape.
 
     Closed forms: 4*C(24,2) for (+-4^2), 759*2^7 for (+-2^8 on octads),
     2^12*24 for (-+3, +-1^23); each verified against its enumeration.
     """
-    if code is None:
-        code = build_golay()
+    code = build_golay()
     codewords = code.codeword_set()
     closed = {
         "four_four": 4 * comb(LENGTH, 2),
@@ -145,15 +144,14 @@ def kissing_number_consistency(counts=None):
     }
 
 
-def norm6_dodecad_lower_bound(code: BinaryCode = None):
+def norm6_dodecad_lower_bound():
     """Norm-6 sanity term: vectors (+-2^12, 0^12) on dodecad supports.
 
     The allowed sign patterns per dodecad are counted by enumerating one
     dodecad exhaustively (4096 sign choices) and multiplying by the
     dodecad count; the result must not exceed the theta N(6) coefficient.
     """
-    if code is None:
-        code = build_golay()
+    code = build_golay()
     dodecads = [w for w in code.codewords() if w.bit_count() == 12]
     per_dodecad = _signed_twos(dodecads[0], code.codeword_set())
     theta = leech_theta_prefix(4)

@@ -252,8 +252,7 @@ def _sl_generator_matrices(K, n, lambdas):
     return gens
 
 
-def projective_action(variant, n, spec: FieldSpec,
-                      point_bound=PROJECTIVE_POINT_BOUND) -> PermGroup:
+def projective_action(variant, n, spec: FieldSpec) -> PermGroup:
     """PGL_n(q) or PSL_n(q) as a permutation group on projective space.
 
     The permutation action of matrices on projective points quotients
@@ -266,9 +265,9 @@ def projective_action(variant, n, spec: FieldSpec,
         raise ValidationError("explicit projective actions are coded for n = 2, 3")
     q = spec.q
     num_points = (q ** n - 1) // (q - 1)
-    if num_points > point_bound:
-        raise ResourceLimitError(
-            f"projective space has {num_points} points, over the bound {point_bound}")
+    if num_points > PROJECTIVE_POINT_BOUND:
+        raise ResourceLimitError(f"projective space has {num_points} points, over "
+                                 f"the fixed bound {PROJECTIVE_POINT_BOUND}")
     K = spec.codes
     points = projective_points(spec, n)
     if len(points) != num_points:
@@ -346,11 +345,11 @@ def _family_members(family, n):
         yield order_formula(query)
 
 
-def simple_census(bound, include_sporadic=True):
+def simple_census(bound):
     """Nonabelian simple groups of order <= bound, one entry per isomorphism
     class, sorted by order.  bound <= 10^7."""
     if bound > 10 ** 7:
-        raise ResourceLimitError("census bound is limited to 10^7")
+        raise ResourceLimitError("the census bound is limited to the fixed bound 10^7")
     found = {}      # label -> order
 
     n = 5
@@ -383,20 +382,18 @@ def simple_census(bound, include_sporadic=True):
     entries = [CensusEntry(order, tuple(sorted(labels)))
                for (order, _), labels in classes.items()]
 
-    if include_sporadic:
-        from .sporadic import sporadic_table
-        for entry in sporadic_table():
-            if entry.order <= bound:
-                entries.append(CensusEntry(entry.order, (entry.symbol,), True))
+    from .sporadic import sporadic_table
+    for entry in sporadic_table():
+        if entry.order <= bound:
+            entries.append(CensusEntry(entry.order, (entry.symbol,), True))
 
     entries.sort(key=lambda e: (e.order, e.names))
     return entries
 
 
-def census_table(bound, abelian_prime_limit=10):
-    """The bounded census with the abelian prime cyclic groups below the
-    documented small limit prepended (the printed-table convention)."""
-    abelian = [CensusEntry(p, (f"Z_{p}",)) for p in range(2, abelian_prime_limit)
-               if is_prime(p)]
+def census_table(bound):
+    """The bounded census with the abelian prime cyclic groups below 10
+    prepended (the printed-table convention)."""
+    abelian = [CensusEntry(p, (f"Z_{p}",)) for p in range(2, 10) if is_prime(p)]
     return sorted(abelian + list(simple_census(bound)),
                   key=lambda e: (e.order, e.names))

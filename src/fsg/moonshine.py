@@ -168,7 +168,8 @@ def delta_expansion(num_terms) -> IntegerSeries:
     if num_terms < 1:
         raise ValidationError("need at least the q^1 term")
     if num_terms > DELTA_TERM_BOUND:
-        raise ResourceLimitError(f"delta expansion capped at {DELTA_TERM_BOUND} terms")
+        raise ResourceLimitError(
+            f"delta expansion capped at the fixed bound of {DELTA_TERM_BOUND} terms")
     n = num_terms - 1
     u = IntegerSeries(0, tuple(_euler_product_coeffs(n)))
     u2 = (u * u).truncate(n)
@@ -193,7 +194,8 @@ def eisenstein_e4(num_terms) -> IntegerSeries:
 def j_expansion(num_terms) -> IntegerSeries:
     """j = E4^3 / Delta, exact from q^-1 through q^num_terms."""
     if num_terms > J_TERM_BOUND:
-        raise ResourceLimitError(f"j expansion capped at {J_TERM_BOUND} terms")
+        raise ResourceLimitError(
+            f"j expansion capped at the fixed bound of {J_TERM_BOUND} terms")
     n = num_terms + 2
     e4 = eisenstein_e4(n)
     e4_cubed = (e4 * e4 * e4).truncate(n)
@@ -209,7 +211,8 @@ def j_cube_root(num_terms) -> IntegerSeries:
     stripped off, so no rational-exponent machinery is needed.
     """
     if num_terms > J_TERM_BOUND:
-        raise ResourceLimitError(f"cube root capped at {J_TERM_BOUND} terms")
+        raise ResourceLimitError(
+            f"cube root capped at the fixed bound of {J_TERM_BOUND} terms")
     qj = j_expansion(num_terms).shift(1)
     return qj.cube_root()
 
@@ -220,7 +223,8 @@ def leech_theta_prefix(num_terms) -> IntegerSeries:
     if num_terms < 0:
         raise ValidationError("the theta prefix needs num_terms >= 0")
     if num_terms > J_TERM_BOUND:
-        raise ResourceLimitError(f"theta prefix capped at {J_TERM_BOUND} terms")
+        raise ResourceLimitError(
+            f"theta prefix capped at the fixed bound of {J_TERM_BOUND} terms")
     j = j_expansion(num_terms + 1)
     delta = delta_expansion(num_terms + 2)
     theta = (j - 720) * delta
@@ -277,15 +281,15 @@ def monster_constant_checks():
     return [{"identity": n, "lhs": l, "rhs": r, "pass": l == r} for n, l, r in out]
 
 
-def sum_of_squares_check(scan_limit=10 ** 6):
+def sum_of_squares_check():
     """1^2 + ... + 24^2 = 70^2, by direct summation and by the closed form
-    N(N+1)(2N+1)/6; also scans for every N <= scan_limit whose square-sum
-    is a perfect square (exactly N = 1 and N = 24)."""
+    N(N+1)(2N+1)/6; also scans for every N <= 10^6 whose square-sum is a
+    perfect square (exactly N = 1 and N = 24)."""
     direct = sum(i * i for i in range(1, 25))
     closed = 24 * 25 * 49 // 6
     square_ns = []
     total = 0
-    for n in range(1, scan_limit + 1):
+    for n in range(1, 10 ** 6 + 1):
         total += n * n
         r = isqrt(total)
         if r * r == total:

@@ -30,9 +30,13 @@ EXHAUSTIVE_CLASS_BOUND = 10 ** 5
 PARSE_DEGREE_BOUND = 10 ** 5
 
 
-def enumeration_bound():
-    """Element-enumeration cap; overridable with FSG_ENUMERATION_BOUND."""
-    return int(os.environ.get("FSG_ENUMERATION_BOUND", ENUMERATION_BOUND))
+def _check_enumerable(n):
+    """Refuse to enumerate a group of order n above the element-enumeration
+    bound: ENUMERATION_BOUND, or the FSG_ENUMERATION_BOUND setting."""
+    bound = int(os.environ.get("FSG_ENUMERATION_BOUND", ENUMERATION_BOUND))
+    if n > bound:
+        raise ResourceLimitError(f"group order {n} exceeds the element-enumeration "
+                                 f"bound {bound} (setting FSG_ENUMERATION_BOUND)")
 
 
 class Permutation:
@@ -362,13 +366,11 @@ class PermGroup:
 
     def orbits(self):
         """Disjoint orbits covering all points, each sorted, in point order."""
-        left = set(range(self.degree))
-        out = []
-        while left:
-            p = min(left)
-            orb = sorted(self.orbit(p))
-            out.append(orb)
-            left -= set(orb)
+        seen, out = set(), []
+        for p in range(self.degree):
+            if p not in seen:
+                out.append(sorted(self.orbit(p)))
+                seen.update(out[-1])
         return out
 
     def support(self):
@@ -388,14 +390,10 @@ class PermGroup:
                 yield from rec(i + 1, prefix * lev.transversal[p])
         yield from rec(0, Permutation.identity(self.degree))
 
-    def element_list(self, bound=None):
+    def element_list(self):
         """Sorted element list (cached); refuses above the enumeration bound."""
-        if bound is None:
-            bound = enumeration_bound()
         if self._element_list is None:
-            if self._order > bound:
-                raise ResourceLimitError(
-                    f"group order {self._order} exceeds enumeration bound {bound}")
+            _check_enumerable(self._order)
             self._element_list = sorted(self.iter_elements(), key=lambda g: g.images)
         return self._element_list
 
@@ -416,22 +414,9 @@ class PermGroup:
 # Module-level operations
 
 
-def group_from_generators(degree, gens, base_hint=()):
+def group_from_generators(degree, gens):
     """Group from generator permutations; empty input gives the trivial group."""
-    return PermGroup(degree, gens, base_hint=base_hint)
-
-
-def orbit_partition(G: PermGroup):
-    """Orbits of G on its points, with the orbit-stabilizer count law checked."""
-    parts = G.orbits()
-    for orb in parts:
-        # |G| = |stabilizer| * |orbit|: recompute the stabilizer order from a
-        # chain whose first base point is the orbit representative.
-        H = PermGroup(G.degree, G.generators, base_hint=(orb[0],))
-        stab_order = H.order() // len(H.levels[0].orbit) if H.levels else 1
-        if stab_order * len(orb) != G.order():
-            raise AssertionError("orbit-stabilizer law failed")  # pragma: no cover
-    return parts
+    return PermGroup(degree, gens)
 
 
 def transitivity_degree(G: PermGroup):
@@ -522,17 +507,14 @@ def _random_elements(G, seed=0):
         yield G.random_element(rng)
 
 
-def full_conjugacy_classes(G: PermGroup, bound=None):
+def full_conjugacy_classes(G: PermGroup):
     """All classes as element lists, canonically sorted (see ClassData)."""
-    if bound is None:
-        bound = enumeration_bound()
     n = G.order()
-    if n > bound:
-        raise ResourceLimitError(
-            f"group order {n} exceeds the class-enumeration bound {bound}; "
-            "use the order-formula census for groups of this size")
-    seeds = (G.element_list(EXHAUSTIVE_CLASS_BOUND) if n <= EXHAUSTIVE_CLASS_BOUND
-             else _random_elements(G))
+    if n <= EXHAUSTIVE_CLASS_BOUND:
+        seeds = G.element_list()
+    else:
+        _check_enumerable(n)
+        seeds = _random_elements(G)
     classes = _conjugation_orbits(G, seeds)
     if sum(len(c) for c in classes) != n:
         raise AssertionError("class sizes do not sum to the group order")
@@ -542,8 +524,8 @@ def full_conjugacy_classes(G: PermGroup, bound=None):
     return sorted(classes, key=key)
 
 
-def conjugacy_classes(G: PermGroup, bound=None) -> ClassData:
-    classes = full_conjugacy_classes(G, bound)
+def conjugacy_classes(G: PermGroup) -> ClassData:
+    classes = full_conjugacy_classes(G)
     reps = tuple(min(block, key=lambda g: g.images) for block in classes)
     sizes = tuple(len(block) for block in classes)
     orders = tuple(rep.order() for rep in reps)
@@ -556,8 +538,8 @@ def conjugacy_classes(G: PermGroup, bound=None) -> ClassData:
     )
 
 
-def center_order(G: PermGroup, bound=None) -> int:
-    els = G.element_list(bound)
+def center_order(G: PermGroup) -> int:
+    els = G.element_list()
     return sum(1 for z in els
                if all((z * g).images == (g * z).images for g in G.generators))
 
@@ -579,37 +561,29 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         K = PermGroup(G.degree, gens)
 
 
-def structure_report(G: PermGroup, bound=None):
+def structure_report(G: PermGroup):
     """(center_order, derived_order, abelianization_order, is_perfect)."""
-    if bound is None:
-        bound = enumeration_bound()
-    n = G.order()
-    if n > bound:
-        raise ResourceLimitError(
-            f"group order {n} exceeds the enumeration bound {bound}")
+    center = center_order(G)        # refuses above the enumeration bound first
     commutators = []
     for i, a in enumerate(G.generators):
         for b in G.generators[i + 1:]:
             commutators.append(a * b * a.inverse() * b.inverse())
     derived = normal_closure(G, commutators).order() if commutators else 1
-    ab = n // derived
-    return center_order(G, bound), derived, ab, ab == 1
+    ab = G.order() // derived
+    return center, derived, ab, ab == 1
 
 
-def is_simple(G: PermGroup, bound=None) -> bool:
-    """True iff G has no proper normal subgroup (trivial group excluded)."""
-    if bound is None:
-        bound = enumeration_bound()
+def is_simple(G: PermGroup) -> bool:
+    """True iff G has no proper normal subgroup (trivial group excluded).
+    An abelian G is decided by its order; any other G takes the class
+    census, under the enumeration bound."""
     n = G.order()
     if n == 1:
         return False
-    if n > bound:
-        raise ResourceLimitError(
-            f"group order {n} exceeds the enumeration bound {bound}")
     if G.is_abelian():
         from .fields import is_prime
         return is_prime(n)
-    data = conjugacy_classes(G, bound)
+    data = conjugacy_classes(G)
     for rep in data.reps:
         if rep.is_identity():
             continue
@@ -618,14 +592,9 @@ def is_simple(G: PermGroup, bound=None) -> bool:
     return True
 
 
-def element_order_histogram(G: PermGroup, bound=None):
+def element_order_histogram(G: PermGroup):
     """Map element order -> count over all of G; counts sum to |G|."""
-    if bound is None:
-        bound = enumeration_bound()
-    n = G.order()
-    if n > bound:
-        raise ResourceLimitError(
-            f"group order {n} exceeds the enumeration bound {bound}")
+    _check_enumerable(G.order())
     hist = Counter()
     for g in G.iter_elements():
         hist[g.order()] += 1

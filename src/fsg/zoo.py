@@ -319,7 +319,7 @@ def direct_product(A, B):
 AUTOMORPHISM_BOUND = 64
 
 
-def automorphism_perms(G, bound=AUTOMORPHISM_BOUND):
+def automorphism_perms(G):
     """All automorphisms of G as permutations of its element list.
 
     Backtracking over generator images, pruned by element order; every
@@ -327,9 +327,9 @@ def automorphism_perms(G, bound=AUTOMORPHISM_BOUND):
     table, so pruning bugs cannot produce false positives.
     """
     n = G.order()
-    if n > bound:
-        raise ResourceLimitError(
-            f"automorphism search bound is {bound}, group has order {n}")
+    if n > AUTOMORPHISM_BOUND:
+        raise ResourceLimitError(f"the automorphism search is limited to the fixed "
+                                 f"bound of order {AUTOMORPHISM_BOUND}; group has {n}")
     cs = CayleyStructure(G)
     gens = cs.minimal_generating_indices()
     by_order = {}
@@ -383,9 +383,9 @@ def automorphism_perms(G, bound=AUTOMORPHISM_BOUND):
     return cs, found
 
 
-def automorphism_group(G, bound=AUTOMORPHISM_BOUND):
+def automorphism_group(G):
     """(Aut(G) acting on G's elements, aut_order, inn_order, out_order)."""
-    cs, autos = automorphism_perms(G, bound)
+    cs, autos = automorphism_perms(G)
     n = G.order()
     aut = group_from_generators(n, [Permutation(phi) for phi in autos])
     aut_order = aut.order()
@@ -397,13 +397,13 @@ def automorphism_group(G, bound=AUTOMORPHISM_BOUND):
     return aut, aut_order, inn_order, aut_order // inn_order
 
 
-def holomorph(A, bound=AUTOMORPHISM_BOUND):
+def holomorph(A):
     """A x| Aut(A) for abelian A, acting faithfully on A's elements."""
     if not A.is_abelian():
         raise ValidationError(
             "holomorph is provided for abelian groups only; build the "
             "semidirect product with an explicit action instead")
-    cs, autos = automorphism_perms(A, bound)
+    cs, autos = automorphism_perms(A)
     translations = [Permutation(cs.table[g]) for g in cs.generator_indices()]
     maps = [Permutation(phi) for phi in autos]
     H = group_from_generators(cs.n, translations + maps)

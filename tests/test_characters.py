@@ -131,8 +131,17 @@ def test_dicyclic_table_with_irrational_values():
 
 
 def test_character_bound():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="fixed bound"):
         character_table(symmetric(6))
+
+
+def test_enumeration_setting_caps_character_and_cayley_tables(monkeypatch):
+    from fsg.cayley import CayleyStructure
+    monkeypatch.setenv("FSG_ENUMERATION_BOUND", "100")
+    for build in (character_table, CayleyStructure):
+        with pytest.raises(ResourceLimitError, match="FSG_ENUMERATION_BOUND"):
+            build(symmetric(5))
+    assert character_table(symmetric(4)).group_order == 24
 
 
 def test_frobenius21_table():

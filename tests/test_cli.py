@@ -1,6 +1,7 @@
 """CLI surface: output shape, determinism, exit-status contract."""
 
 import json
+import time
 
 import pytest
 
@@ -220,3 +221,49 @@ def test_permutation_degree_bound(capsys):
                  ["--gens", "(0 " + "9" * 5000 + ")"]):
         code, out, err = run(capsys, "group", *argv)
         assert code == 3 and out == "" and "fixed" in err, argv
+
+
+def test_report_on_a_sparse_high_degree_group(capsys):
+    # orbits are one pass over the points: at degree 5000 this took 20 s
+    # (2-core x86) when each orbit was found by a min() over the points left
+    # and got a stabilizer chain of its own
+    start = time.perf_counter()
+    payload = run_json(capsys, "group", "--gens", "(0 4999)", "--report")
+    assert time.perf_counter() - start < 2
+    assert payload["order"] == "2" and payload["simple"] is True
+    assert payload["orbits"] == [[0, 4999]] + [[x] for x in range(1, 4999)]
+
+
+# One argv per resource bound the CLI can reach, and what its refusal names:
+# the setting that moves the bound, or that the bound is fixed.
+BOUND_ARGV = [
+    (["group", "--name", "sym", "--n", "10", "--report"], "FSG_ENUMERATION_BOUND"),
+    (["field", "--p", "2", "--f", "21"], "FSG_MAX_FIELD_SIZE"),
+    (["field", "--p", "1000000000000000003"], "fixed"),         # trial division
+    (["group", "--gens", "(0 100000)"], "fixed"),               # permutation degree
+    (["group", "--name", "psl3", "--n", "89"], "fixed"),        # projective points
+    (["chartab", "--name", "sym", "--n", "6"], "fixed"),        # character tables
+    (["zoo", "--aut", "sym", "--n", "5"], "fixed"),             # automorphisms
+    (["zoo", "--partitions", "5001"], "fixed"),
+    (["orders", "--family", "PSL", "--n", "10000", "--q", "2"], "fixed"),
+    (["census", "--bound", "10000001"], "fixed"),
+    (["moonshine", "--delta", "10001"], "fixed"),
+    (["moonshine", "--j", "1001"], "fixed"),
+    (["moonshine", "--cube-root", "1001"], "fixed"),
+    (["leech", "--theta-terms", "1001"], "fixed"),
+]
+
+
+@pytest.mark.parametrize("argv, names", BOUND_ARGV, ids=[" ".join(a) for a, _ in BOUND_ARGV])
+def test_every_refusal_names_its_setting_or_says_fixed(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and names in err, err
+
+
+def test_enumeration_setting_caps_character_tables(capsys, monkeypatch):
+    monkeypatch.setenv("FSG_ENUMERATION_BOUND", "100")
+    for argv in (["chartab", "--name", "sym", "--n", "5"],
+                 ["group", "--name", "sym", "--n", "5", "--report"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "FSG_ENUMERATION_BOUND" in err, argv
+    assert run_json(capsys, "chartab", "--name", "sym", "--n", "4")["group_order"] == "24"

@@ -41,6 +41,14 @@ def test_orders_match_sympy_on_random_generators(seed):
     ours = PermGroup(degree, [Permutation(g) for g in gens])
     theirs = SymGroup([SymPerm(g) for g in gens])
     assert ours.order() == theirs.order()
+    assert ours.orbits() == sorted(sorted(orb) for orb in theirs.orbits())
+    for orb in ours.orbits():
+        # orbit-stabilizer: a chain based at the orbit's first point reads
+        # the stabilizer order off its first level
+        H = PermGroup(degree, ours.generators, base_hint=(orb[0],))
+        stab = H.order() // len(H.levels[0].orbit) if H.levels else 1
+        assert stab == theirs.stabilizer(orb[0]).order()
+        assert stab * len(orb) == ours.order()
 
 
 @pytest.mark.parametrize("seed", range(6))

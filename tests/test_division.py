@@ -17,29 +17,40 @@ from fsg.division import (
 )
 from fsg.errors import ValidationError
 
-QUAT_ONE = Quaternion.of(1)
-QUAT_I = Quaternion.of(0, 1)
-QUAT_J = Quaternion.of(0, 0, 1)
-QUAT_K = Quaternion.of(0, 0, 0, 1)
+
+def quat(*vals):
+    """The quaternion with the given leading components, the rest 0."""
+    return Quaternion(*(Fraction(v) for v in vals + (0,) * (4 - len(vals))))
+
+
+def octo(*vals):
+    """The octonion with the given leading coordinates, the rest 0."""
+    return Octonion(tuple(Fraction(v) for v in vals + (0,) * (8 - len(vals))))
+
+
+QUAT_ONE = quat(1)
+QUAT_I = quat(0, 1)
+QUAT_J = quat(0, 0, 1)
+QUAT_K = quat(0, 0, 0, 1)
 
 
 def test_quaternion_units():
     assert QUAT_I * QUAT_J == QUAT_K
-    assert QUAT_J * QUAT_I == Quaternion.of(0, 0, 0, -1)
-    assert QUAT_I * QUAT_I == Quaternion.of(-1)
-    assert (QUAT_I * QUAT_J) + (QUAT_J * QUAT_I) == Quaternion.of(0)
+    assert QUAT_J * QUAT_I == quat(0, 0, 0, -1)
+    assert QUAT_I * QUAT_I == quat(-1)
+    assert (QUAT_I * QUAT_J) + (QUAT_J * QUAT_I) == quat(0)
     assert QUAT_ONE * QUAT_K == QUAT_K
 
 
 def test_quaternion_conj_norm_inverse():
-    assert QUAT_I.conjugate() == Quaternion.of(0, -1)
+    assert QUAT_I.conjugate() == quat(0, -1)
     assert QUAT_I.norm() == 1
-    assert QUAT_I.inverse() == Quaternion.of(0, -1)
-    q = Quaternion.of(1, 2, 3, 4)
+    assert QUAT_I.inverse() == quat(0, -1)
+    q = quat(1, 2, 3, 4)
     assert q.norm() == 30
-    assert q.conjugate() * q == Quaternion.of(q.norm())
+    assert q.conjugate() * q == quat(q.norm())
     assert q * q.inverse() == QUAT_ONE
-    assert Quaternion.of(0).inverse() is None
+    assert quat(0).inverse() is None
 
 
 def test_quaternion_norm_composition_random():
@@ -100,11 +111,11 @@ def test_octonion_norm_composition():
 
 
 def test_octonion_inverse():
-    o = Octonion.of(1, 1, 0, 2, 0, 0, 0, Fraction(1, 3))
-    assert o.conjugate() * o == Octonion.of(o.norm())
+    o = octo(1, 1, 0, 2, 0, 0, 0, Fraction(1, 3))
+    assert o.conjugate() * o == octo(o.norm())
     assert o.norm() > 0
-    assert o * o.inverse() == Octonion.of(1)
-    assert Octonion.of(0).inverse() is None
+    assert o * o.inverse() == octo(1)
+    assert octo(0).inverse() is None
 
 
 def test_dispatch_errors():

@@ -209,6 +209,18 @@ def test_trial_division_bound():
             prime_power(n)
 
 
+def test_factorize_shares_the_trial_division_bound():
+    from fsg.fields import factorize
+    from fsg.zoo import count_abelian_groups
+    assert factorize(2 ** 40 * 999983) == {2: 40, 999983: 1}
+    assert factorize(999979 * 999983) == {999979: 1, 999983: 1}
+    for n in (10 ** 12 + 39, 100000000000031):      # primes above 10^12
+        with pytest.raises(ResourceLimitError, match="fixed trial-division bound"):
+            factorize(n)
+    with pytest.raises(ResourceLimitError, match="fixed trial-division bound"):
+        count_abelian_groups(100000000000031)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 def test_f9_ring_laws_random(i, j, k):

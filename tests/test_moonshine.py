@@ -177,7 +177,7 @@ def test_monster_constants():
 
 
 def test_sum_of_squares():
-    rep = sum_of_squares_check(scan_limit=2000)
+    rep = sum_of_squares_check()
     assert rep["direct_sum_1_to_24"] == 4900 == 70 ** 2
     assert rep["closed_form"] == 4900
     assert rep["equals_70_squared"]

@@ -14,7 +14,6 @@ from fsg.perms import (
     group_from_generators,
     is_simple,
     normal_closure,
-    orbit_partition,
     structure_report,
     transitivity_degree,
 )
@@ -98,8 +97,8 @@ def test_chain_vs_closure_oracle():
 
 def test_orbit_partition():
     z3 = group_from_generators(5, [cyc(5, (0, 1, 2))])
-    assert orbit_partition(z3) == [[0, 1, 2], [3], [4]]
-    assert orbit_partition(sym(4)) == [[0, 1, 2, 3]]
+    assert z3.orbits() == [[0, 1, 2], [3], [4]]
+    assert sym(4).orbits() == [[0, 1, 2, 3]]
 
 
 def test_orbit_partition_conjugation_action_of_alt4():
