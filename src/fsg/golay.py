@@ -22,7 +22,7 @@ race on the first call may each build, and every build is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -48,6 +48,7 @@ class BinaryCode:
             words += [w ^ g for w in words]
         return words
 
+    @cached_property
     def codeword_set(self):
         return frozenset(self.codewords())
 
@@ -162,7 +163,7 @@ def is_code_automorphism(code: BinaryCode, perm: Permutation) -> bool:
 
     Linear-algebra shortcut intentionally avoided; this is the verifier.
     """
-    words = code.codeword_set()
+    words = code.codeword_set
     return all(apply_permutation_to_word(perm, w) in words for w in words)
 
 
@@ -208,13 +209,14 @@ class MathieuChain:
 @cache
 def mathieu_m24() -> MathieuChain:
     """M24 as verified Golay-code automorphisms, with the stabilizer orders
-    |M23| and |M22| read off a chain whose base starts 0, 1."""
+    |M23| and |M22| read off a chain whose base is 0, 1, 2, ...; the same
+    chain gives the transitivity degree."""
     code = build_golay()
     gens = psl2_23_generators() + [conway_delta()]
     for g in gens:
         if not is_code_automorphism(code, g):
             raise InternalDefectError(f"generator {g.cycle_string()} is not a code automorphism")
-    group = PermGroup(LENGTH, gens, base_hint=(0, 1))
+    group = PermGroup(LENGTH, gens, base_hint=tuple(range(LENGTH)))
     order = group.order()
     sizes = group.basic_orbit_sizes()
     stab1 = order // sizes[0]

@@ -16,6 +16,12 @@ choices with the membership conditions checked literally; the two
 counts must agree.  The total is the kissing number, which must also
 match the q^2 coefficient of the theta series (J + 24) * Delta from the
 moonshine module.
+
+The check sees a candidate as four residue masks (bit i of mask k set
+iff x_i = k mod 4), built by bit operations from its coordinates, and
+its sum.  The conditions read nothing else of x, so the check is still
+literal, in a few integer operations: the odd mask (masks 1 and 3) is
+empty or full, mask m + 2 is a codeword, and the sum is 4m mod 8.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .golay import LENGTH, build_golay
 from .moonshine import leech_theta_prefix
 
 KISSING_NUMBER = 196560
+_ALL = (1 << LENGTH) - 1
 
 
 @dataclass(frozen=True)
@@ -40,65 +47,62 @@ class LatticeShapeCount:
         return {"shape": self.shape, "count": self.count, "norm": self.norm}
 
 
-def _is_leech_vector(x, codewords):
-    """Literal check of the three congruence conditions."""
-    m = x[0] % 2
-    marked = (m + 2) % 4
-    mask = 0
-    total = 0
-    for i, v in enumerate(x):
-        if v % 2 != m:
-            return False
-        if v % 4 == marked:
-            mask |= 1 << i
-        total += v
-    return mask in codewords and total % 8 == 4 * m % 8
+def _is_leech_vector(residues, total, codewords):
+    """The three congruence conditions on a vector given by its residue
+    masks and its coordinate sum."""
+    odd = residues[1] | residues[3]
+    if odd not in (0, _ALL):
+        return False                    # mixed parity
+    m = 1 if odd else 0
+    return residues[m + 2] in codewords and total % 8 == 4 * m
 
 
-def _enumerate_four_four(code):
+def _enumerate_four_four(codewords):
     """Vectors (+-4, +-4, 0^22): all sign choices on all coordinate pairs."""
-    codewords = code.codeword_set()
     count = 0
     for i in range(LENGTH):
         for j in range(i + 1, LENGTH):
             for si in (4, -4):
                 for sj in (4, -4):
-                    x = [0] * LENGTH
-                    x[i], x[j] = si, sj
-                    if _is_leech_vector(x, codewords):
+                    residues = [_ALL ^ (1 << i | 1 << j), 0, 0, 0]
+                    residues[si % 4] |= 1 << i
+                    residues[sj % 4] |= 1 << j
+                    if _is_leech_vector(residues, si + sj, codewords):
                         count += 1
     return count
 
 
 def _signed_twos(word, codewords):
-    """Vectors (+-2 on the support of word, 0 elsewhere): all sign choices."""
-    support = [i for i in range(LENGTH) if word >> i & 1]
+    """Vectors (+-2 on the support of word, 0 elsewhere): all sign choices,
+    minus running over every subset of the support that carries -2."""
     count = 0
-    for signs in range(1 << len(support)):
-        x = [0] * LENGTH
-        for b, i in enumerate(support):
-            x[i] = -2 if signs >> b & 1 else 2
-        if _is_leech_vector(x, codewords):
+    minus = word
+    while True:
+        plus = word ^ minus             # 2 and -2 are both 2 mod 4
+        residues = (_ALL ^ word, 0, plus | minus, 0)
+        if _is_leech_vector(residues, 2 * plus.bit_count() - 2 * minus.bit_count(), codewords):
             count += 1
-    return count
+        if not minus:
+            return count
+        minus = (minus - 1) & word
 
 
-def _enumerate_three_ones(code):
-    """Vectors (-+3, +-1^23): sign pattern from a codeword, one coordinate
-    shifted by +-4; squared length 32 forces the shift direction."""
-    codewords = code.codeword_set()
+def _enumerate_three_ones(code, codewords):
+    """Vectors (-+3, +-1^23): -1 on a codeword and +1 elsewhere, one
+    coordinate shifted by +-4; squared length 32 forces the shift
+    direction, so the shifted coordinate becomes -3 times its sign."""
     count = 0
     for c in code.codewords():
-        base = [-1 if c >> i & 1 else 1 for i in range(LENGTH)]
+        total = LENGTH - 2 * c.bit_count()
         for j in range(LENGTH):
-            for shift in (4, -4):
-                nj = base[j] + shift
-                if nj * nj != 9:
-                    continue      # 23 unit coordinates + nj^2 must equal 32
-                x = base[:]
-                x[j] = nj
-                if _is_leech_vector(x, codewords):
-                    count += 1
+            bit = 1 << j
+            old = -1 if c & bit else 1
+            new = -3 * old
+            residues = [0, _ALL ^ c, 0, c]
+            residues[old % 4] ^= bit
+            residues[new % 4] |= bit
+            if _is_leech_vector(residues, total - old + new, codewords):
+                count += 1
     return count
 
 
@@ -109,16 +113,16 @@ def leech_minimal_vectors():
     2^12*24 for (-+3, +-1^23); each verified against its enumeration.
     """
     code = build_golay()
-    codewords = code.codeword_set()
+    codewords = code.codeword_set
     closed = {
         "four_four": 4 * comb(LENGTH, 2),
         "two_octad": len(code.octads()) * 2 ** 7,
         "three_ones": 2 ** code.dimension * LENGTH,
     }
     enumerated = {
-        "four_four": _enumerate_four_four(code),
+        "four_four": _enumerate_four_four(codewords),
         "two_octad": sum(_signed_twos(w, codewords) for w in code.octads()),
-        "three_ones": _enumerate_three_ones(code),
+        "three_ones": _enumerate_three_ones(code, codewords),
     }
     if closed != enumerated:
         raise InternalDefectError(
@@ -153,7 +157,7 @@ def norm6_dodecad_lower_bound():
     """
     code = build_golay()
     dodecads = [w for w in code.codewords() if w.bit_count() == 12]
-    per_dodecad = _signed_twos(dodecads[0], code.codeword_set())
+    per_dodecad = _signed_twos(dodecads[0], code.codeword_set)
     theta = leech_theta_prefix(4)
     n6 = theta.coeff(3)
     bound = len(dodecads) * per_dodecad

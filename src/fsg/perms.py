@@ -423,11 +423,12 @@ def transitivity_degree(G: PermGroup):
     """Largest k with G transitive on ordered k-tuples of support points.
 
     Returns (k, sharp); (0, False) when G is not transitive on its support.
+    G's own chain serves when its base hint is its support in order.
     """
-    supp = G.support()
+    supp = tuple(G.support())
     if not supp:
         return 0, False
-    chain = PermGroup(G.degree, G.generators, base_hint=tuple(supp))
+    chain = G if G._base_hint == supp else PermGroup(G.degree, G.generators, base_hint=supp)
     orbit_sizes = []
     li = 0
     for p in supp:

@@ -42,8 +42,9 @@ def test_dimensions_and_weights(code):
 
 
 def test_zero_and_all_ones(code):
-    assert 0 in code.codeword_set()
-    assert (1 << 24) - 1 in code.codeword_set()
+    assert 0 in code.codeword_set
+    assert (1 << 24) - 1 in code.codeword_set
+    assert code.codeword_set is code.codeword_set     # built once per code
 
 
 def test_self_duality_and_weight_divisibility(code):
@@ -110,10 +111,30 @@ def test_m24_order_and_stabilizers(chain):
 
 def test_m24_transitivity(chain):
     assert chain.transitivity == (5, False)
+    assert [lev.base for lev in chain.group.levels] == list(range(7))
+    assert chain.group.basic_orbit_sizes() == [24, 23, 22, 21, 20, 16, 3]
+
+
+def test_cold_m24_builds_one_chain(monkeypatch):
+    builds = []
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    mathieu_m24.cache_clear()
+    try:
+        chain = mathieu_m24()
+    finally:
+        mathieu_m24.cache_clear()
+    assert len(builds) == 1
+    assert chain.transitivity == (5, False)
 
 
 def test_m24_generators_preserve_codeword_set(code, chain):
-    words = code.codeword_set()
+    words = code.codeword_set
     for g in chain.group.generators:
         assert all(apply_permutation_to_word(g, w) in words for w in words)
 
