@@ -148,6 +148,7 @@ class CharacterTable:
 
 
 def _sorted_classes(G):
+    """The group's cached classes, re-sorted into a new list in column order."""
     classes = full_conjugacy_classes(G)
     def key(block):
         rep = min(block, key=lambda g: g.images)

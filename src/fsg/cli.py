@@ -121,12 +121,8 @@ def _cmd_group(args):
     if args.histogram:
         h = element_order_histogram(G)
         out["element_order_histogram"] = {str(k): v for k, v in sorted(h.items())}
-    if args.contains:
-        from .perms import Permutation as P
-        pi = P.parse(args.contains, degree=G.degree)
-        if pi.degree < G.degree:
-            pi = P(list(pi.images) + list(range(pi.degree, G.degree)))
-        out["contains"] = pi in G
+    if args.contains is not None:
+        out["contains"] = Permutation.parse(args.contains, degree=G.degree) in G
     return out
 
 

@@ -209,14 +209,15 @@ class MathieuChain:
 @cache
 def mathieu_m24() -> MathieuChain:
     """M24 as verified Golay-code automorphisms, with the stabilizer orders
-    |M23| and |M22| read off a chain whose base is 0, 1, 2, ...; the same
-    chain gives the transitivity degree."""
+    |M23| and |M22| read off the first two chain levels (M24 is
+    2-transitive, so any two base points give them); the same chain gives
+    the transitivity degree."""
     code = build_golay()
     gens = psl2_23_generators() + [conway_delta()]
     for g in gens:
         if not is_code_automorphism(code, g):
             raise InternalDefectError(f"generator {g.cycle_string()} is not a code automorphism")
-    group = PermGroup(LENGTH, gens, base_hint=tuple(range(LENGTH)))
+    group = PermGroup(LENGTH, gens)
     order = group.order()
     sizes = group.basic_orbit_sizes()
     stab1 = order // sizes[0]

@@ -11,8 +11,10 @@ need the element list (conjugacy classes, center, element-order
 histograms) are guarded by explicit enumeration bounds and raise
 ResourceLimitError beyond them.
 
-Groups are immutable once built; every query is read-only, so distinct
-threads may share a group freely.
+Groups are immutable once built.  The element list and the class
+partition are filled on first use and kept on the group; threads that
+race on the first use each compute the same value and one is kept, so
+distinct threads may share a group freely.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class Permutation:
 
     @staticmethod
     def parse(text, degree=0):
-        """Parse cycle notation like "(0 1 2)(3 4)" or a JSON-ish image list.
+        """Parse cycle notation like "(0 1 2)(3 4)" or a JSON-ish image list;
+        either form is padded with fixed points up to degree.
 
         A degree or point above PARSE_DEGREE_BOUND is refused before any
         image list is allocated.
@@ -100,7 +103,7 @@ class Permutation:
         if text.startswith("["):
             images = points(text.strip("[]"))
             bounded(len(images))
-            return Permutation(images)
+            return Permutation(images + list(range(len(images), degree)))
         cycles, i = [], 0
         while i < len(text):
             j = text.find(")", i)
@@ -207,13 +210,9 @@ class _Level:
 
 
 class PermGroup:
-    """A permutation group with a deterministic base and strong generating set.
+    """A permutation group with a deterministic base and strong generating set."""
 
-    base_hint, when given, fixes the leading base points in order, which
-    makes iterated point stabilizers readable straight off the chain.
-    """
-
-    def __init__(self, degree, generators, base_hint=()):
+    def __init__(self, degree, generators):
         self.degree = int(degree)
         gens = []
         for g in generators:
@@ -225,9 +224,9 @@ class PermGroup:
             if not g.is_identity():
                 gens.append(g)
         self.generators = tuple(gens)
-        self._base_hint = tuple(base_hint)
         self.levels = []
         self._element_list = None
+        self._classes = None
         self._build_chain()
         self._order = 1
         for lev in self.levels:
@@ -241,33 +240,17 @@ class PermGroup:
             out.extend(lev.gens)
         return out
 
-    def _new_level(self, mover):
-        """Append chain levels, honoring base hints, until mover has a base."""
-        while True:
-            k = len(self.levels)
-            if k < len(self._base_hint):
-                base = self._base_hint[k]
-                self.levels.append(_Level(base, self.degree))
-                if mover(base) != base:
-                    return self.levels[-1]
-                # hint point fixed by the incoming element: keep the singleton
-                # level for alignment and continue searching
-            else:
-                base = min(mover.moved_points())
-                self.levels.append(_Level(base, self.degree))
-                return self.levels[-1]
-
     def _register(self, h):
-        """Place a non-identity strong generator at its level; extend orbits."""
-        for i, lev in enumerate(self.levels):
+        """Place a non-identity strong generator at its level; extend orbits.
+        An h that fixes every base point opens a level at its least moved point."""
+        for j, lev in enumerate(self.levels):
             if h(lev.base) != lev.base:
-                lev.gens.append(h)
-                j = i
                 break
         else:
-            lev = self._new_level(h)
-            lev.gens.append(h)
-            j = self.levels.index(lev)
+            j = len(self.levels)
+            lev = _Level(min(h.moved_points()), self.degree)
+            self.levels.append(lev)
+        lev.gens.append(h)
         for l in range(j + 1):
             self._extend_orbit(l)
         return j
@@ -292,16 +275,15 @@ class PermGroup:
                     queue.append(y)
 
     def _sift(self, g, start=0):
-        """Sift g through levels >= start; returns (residue, stop_level)."""
-        for i in range(start, len(self.levels)):
-            lev = self.levels[i]
+        """Sift g through levels >= start; returns the residue."""
+        for lev in self.levels[start:]:
             x = g(lev.base)
             if x == lev.base:
                 continue
             if x not in lev.transversal:
-                return g, i
+                return g
             g = lev.transversal_inv[x] * g
-        return g, len(self.levels)
+        return g
 
     def _build_chain(self):
         for g in self.generators:
@@ -318,12 +300,11 @@ class PermGroup:
                         continue
                     u_sp_inv = lev.transversal_inv[s(p)]
                     schreier = u_sp_inv * (s * up)
-                    residue, _ = self._sift(schreier, i + 1)
+                    residue = self._sift(schreier, i + 1)
                     if residue.is_identity():
                         lev.checked.add(key)
                     else:
-                        j = self._register(residue)
-                        i = j
+                        i = self._register(residue)
                         restart = True
                         break
                 if restart:
@@ -343,8 +324,7 @@ class PermGroup:
         if g.degree != self.degree:
             raise DomainMismatchError(
                 f"permutation degree {g.degree} != group degree {self.degree}")
-        residue, _ = self._sift(g)
-        return residue
+        return self._sift(g)
 
     def __contains__(self, g):
         return self.sift(g).is_identity()
@@ -422,26 +402,21 @@ def group_from_generators(degree, gens):
 def transitivity_degree(G: PermGroup):
     """Largest k with G transitive on ordered k-tuples of support points.
 
-    Returns (k, sharp); (0, False) when G is not transitive on its support.
-    G's own chain serves when its base hint is its support in order.
+    Returns (k, sharp); (0, False) when G is not transitive on its support
+    S, and sharp means the stabilizer of k points is trivial.
+
+    Read off G's own chain, whatever its base: G is k-transitive on S iff,
+    for any distinct b_1..b_k in S, each G_{b_1..b_i} (i < k) is transitive
+    on the |S| - i points left (induction on i).  The base points are
+    distinct points of S, and level i's orbit is the orbit of b_{i+1} under
+    G_{b_1..b_i}, so that stabilizer is transitive on what is left exactly
+    when the orbit has |S| - i points.  Past the last level the stabilizer
+    is trivial: an orbit of size 1, transitive only when one point is left.
     """
-    supp = tuple(G.support())
-    if not supp:
-        return 0, False
-    chain = G if G._base_hint == supp else PermGroup(G.degree, G.generators, base_hint=supp)
-    orbit_sizes = []
-    li = 0
-    for p in supp:
-        if li < len(chain.levels) and chain.levels[li].base == p:
-            size = len(chain.levels[li].orbit)
-            li += 1
-        else:
-            size = 1
-        orbit_sizes.append(size)
-    remaining = len(supp)
+    remaining = len(G.support())
+    stab_order = G.order()
     k = 0
-    stab_order = chain.order()
-    for size in orbit_sizes:
+    for size in G.basic_orbit_sizes() + [1]:
         if size != remaining:
             break
         k += 1
@@ -509,7 +484,12 @@ def _random_elements(G, seed=0):
 
 
 def full_conjugacy_classes(G: PermGroup):
-    """All classes as element lists, canonically sorted (see ClassData)."""
+    """All classes as element lists, canonically sorted (see ClassData).
+
+    The census runs once per group; the sorted tuple of blocks is kept on
+    G, and callers that want another order sort a copy."""
+    if G._classes is not None:
+        return G._classes
     n = G.order()
     if n <= EXHAUSTIVE_CLASS_BOUND:
         seeds = G.element_list()
@@ -522,7 +502,8 @@ def full_conjugacy_classes(G: PermGroup):
     def key(block):
         rep = min(block, key=lambda g: g.images)
         return (rep.order(), len(rep.moved_points()), len(block), rep.images)
-    return sorted(classes, key=key)
+    G._classes = tuple(sorted(classes, key=key))
+    return G._classes
 
 
 def conjugacy_classes(G: PermGroup) -> ClassData:
@@ -540,9 +521,8 @@ def conjugacy_classes(G: PermGroup) -> ClassData:
 
 
 def center_order(G: PermGroup) -> int:
-    els = G.element_list()
-    return sum(1 for z in els
-               if all((z * g).images == (g * z).images for g in G.generators))
+    """|Z(G)|: the number of classes of size 1."""
+    return conjugacy_classes(G).center_size
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
@@ -584,13 +564,8 @@ def is_simple(G: PermGroup) -> bool:
     if G.is_abelian():
         from .fields import is_prime
         return is_prime(n)
-    data = conjugacy_classes(G)
-    for rep in data.reps:
-        if rep.is_identity():
-            continue
-        if normal_closure(G, [rep]).order() != n:
-            return False
-    return True
+    reps = conjugacy_classes(G).reps[1:]       # reps[0] is the identity
+    return all(normal_closure(G, [rep]).order() == n for rep in reps)
 
 
 def element_order_histogram(G: PermGroup):

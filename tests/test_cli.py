@@ -61,6 +61,17 @@ def test_group_contains(capsys):
     assert payload["contains"] is False
 
 
+def test_group_contains_empty_and_short_image_list(capsys):
+    # the empty text is the identity, which every group contains
+    payload = run_json(capsys, "group", "--gens", "(0 1)", "--contains", "")
+    assert payload["contains"] is True
+    # an image list shorter than the degree is padded with fixed points
+    payload = run_json(capsys, "group", "--gens", "(0 1);(2 3)", "--contains", "[1 0]")
+    assert payload["degree"] == 4 and payload["contains"] is True
+    payload = run_json(capsys, "group", "--gens", "(0 1 2 3)", "--contains", "[1 0]")
+    assert payload["contains"] is False
+
+
 def test_field_command(capsys):
     payload = run_json(capsys, "field", "--p", "2", "--f", "2",
                        "--op", "mul", "--a", "0 1", "--b", "0 1")

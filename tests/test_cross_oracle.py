@@ -42,13 +42,17 @@ def test_orders_match_sympy_on_random_generators(seed):
     theirs = SymGroup([SymPerm(g) for g in gens])
     assert ours.order() == theirs.order()
     assert ours.orbits() == sorted(sorted(orb) for orb in theirs.orbits())
+    # every chain level: what remains below level i is the pointwise
+    # stabilizer of the base points b_0..b_i
+    remaining = ours.order()
+    bases = []
+    for lev in ours.levels:
+        bases.append(lev.base)
+        remaining //= len(lev.orbit)
+        assert remaining == theirs.pointwise_stabilizer(bases).order()
     for orb in ours.orbits():
-        # orbit-stabilizer: a chain based at the orbit's first point reads
-        # the stabilizer order off its first level
-        H = PermGroup(degree, ours.generators, base_hint=(orb[0],))
-        stab = H.order() // len(H.levels[0].orbit) if H.levels else 1
-        assert stab == theirs.stabilizer(orb[0]).order()
-        assert stab * len(orb) == ours.order()
+        # orbit-stabilizer at the orbit's first point
+        assert ours.order() // len(orb) == theirs.stabilizer(orb[0]).order()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,8 @@
 """Permutation-group engine: chain order vs closure oracle, classes,
 structure queries, transitivity."""
 
+import random
+
 import pytest
 
 from fsg.errors import DomainMismatchError, ValidationError
@@ -48,6 +50,10 @@ def test_parse_cycles_and_images():
     assert p.images == (1, 2, 0, 4, 3)
     q = Permutation.parse("[1, 0, 2]")
     assert q.images == (1, 0, 2)
+    # both forms pad to the requested degree with fixed points
+    assert Permutation.parse("[1 0]", degree=4).images == (1, 0, 2, 3)
+    assert Permutation.parse("(0 1)", degree=4).images == (1, 0, 2, 3)
+    assert Permutation.parse("", degree=3).is_identity()
 
 
 @pytest.mark.parametrize("text", ["(0 1", "(0 x)", "[1, x]", "(0 -1)", "(0 1))"])
@@ -240,13 +246,6 @@ def test_random_fusion_classes_agree_with_exhaustive():
     assert sum(fu) == 720
 
 
-def test_base_hint_gives_point_stabilizer_orders():
-    G = PermGroup(5, sym(5).generators, base_hint=(0, 1))
-    assert G.levels[0].base == 0 and G.levels[1].base == 1
-    assert len(G.levels[0].orbit) == 5
-    assert len(G.levels[1].orbit) == 4
-
-
 def test_lagrange_along_chain():
     for G in [sym(5), alt(6), sym(6)]:
         n = G.order()
@@ -255,3 +254,138 @@ def test_lagrange_along_chain():
             assert sub % len(lev.orbit) == 0
             sub //= len(lev.orbit)
         assert sub == 1
+
+
+def brute_transitivity(G):
+    """(k, sharp) from the orbits of ordered tuples of support points under
+    the generators, with the order from the closure oracle."""
+    supp = sorted({p for g in G.generators for p in g.moved_points()})
+    order = closure_order(G.degree, G.generators)
+    k, tuples = 0, 1                # tuples = |S| (|S| - 1) ... (|S| - k + 1)
+    while k < len(supp):
+        start = tuple(supp[:k + 1])
+        seen, queue = {start}, [start]
+        for t in queue:
+            for g in G.generators:
+                u = tuple(g(x) for x in t)
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        if len(seen) != tuples * (len(supp) - k):
+            break
+        tuples *= len(supp) - k
+        k += 1
+    if k == 0:
+        return 0, False
+    return k, tuples == order
+
+
+def random_subset_group(rng):
+    degree = rng.randint(3, 7)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        moved = rng.sample(range(degree), rng.randint(2, degree))
+        images = list(range(degree))
+        for x, y in zip(moved, rng.sample(moved, len(moved))):
+            images[x] = y
+        gens.append(Permutation(images))
+    return group_from_generators(degree, gens)
+
+
+def transitivity_oracle_groups():
+    from fsg.fields import make_field
+    from fsg.matgroups import projective_action
+    from fsg.zoo import (alternating, cyclic, dihedral, frobenius21, holomorph,
+                         quaternion, symmetric, vierergruppe)
+    groups = [
+        symmetric(4), symmetric(5), alternating(5), alternating(6),
+        dihedral(5), dihedral(6), cyclic(7), quaternion(), frobenius21(),
+        holomorph(cyclic(5)), vierergruppe(),
+        projective_action("PSL", 2, make_field(7)),
+        projective_action("PGL", 2, make_field(5)),
+        projective_action("PSL", 2, make_field(2, 3)),
+        group_from_generators(6, [cyc(6, (1, 3, 5))]),
+        group_from_generators(7, [cyc(7, (0, 1, 2)), cyc(7, (3, 4)), cyc(7, (4, 5, 6))]),
+        group_from_generators(3, []),
+    ]
+    rng = random.Random(2024)
+    return groups + [random_subset_group(rng) for _ in range(20)]
+
+
+def test_transitivity_degree_matches_tuple_orbits(monkeypatch):
+    groups = transitivity_oracle_groups()
+    expected = [brute_transitivity(G) for G in groups]
+    # the named groups cover every outcome the chain walk can give
+    assert expected[:4] == [(4, True), (5, True), (3, True), (4, True)]
+    assert expected[11:17] == [(2, False), (3, True), (3, True), (1, True),
+                               (0, False), (0, False)]
+    builds = []
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    assert [transitivity_degree(G) for G in groups] == expected
+    assert builds == []
+
+
+@pytest.mark.parametrize("build", ["s4", "d6", "a5"])
+def test_one_class_census_per_group(monkeypatch, build):
+    from fsg import perms
+    from fsg.characters import character_table
+    from fsg.zoo import alternating, dihedral, symmetric
+    G = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
+         "a5": lambda: alternating(5)}[build]()
+    runs = []
+    census = perms._conjugation_orbits
+
+    def counting_census(*args):
+        runs.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(perms, "_conjugation_orbits", counting_census)
+    data = conjugacy_classes(G)
+    blocks = perms.full_conjugacy_classes(G)
+    snapshot = [list(b) for b in blocks]
+    simple = is_simple(G)
+    center = perms.center_order(G)
+    report = structure_report(G)
+    table = character_table(G)
+    assert len(runs) == 1
+    assert perms.full_conjugacy_classes(G) is blocks
+    assert [list(b) for b in blocks] == snapshot      # the table sorted a copy
+    assert simple == (build == "a5")
+    assert report[0] == center == data.center_size
+    assert sorted(table.class_sizes) == sorted(data.class_sizes)
+    # the centre by its definition: elements commuting with every generator
+    assert center == sum(1 for z in G.element_list()
+                         if all(z * g == g * z for g in G.generators))
+
+
+def test_threads_share_a_group_across_the_first_census():
+    import sys
+    import threading
+    from fsg.zoo import alternating
+    expected = conjugacy_classes(alternating(5))
+    G = alternating(5)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait(timeout=10)
+        results[k] = (conjugacy_classes(G), is_simple(G), structure_report(G))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == (expected, True, (1, 60, 1, True)) for r in results)
