@@ -2,10 +2,16 @@
 structure queries, transitivity."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from fsg import perms
+from fsg.characters import character_table
 from fsg.errors import DomainMismatchError, ValidationError
+from fsg.fields import make_field
+from fsg.matgroups import projective_action
 from fsg.perms import (
     ClassData,
     PermGroup,
@@ -19,6 +25,8 @@ from fsg.perms import (
     structure_report,
     transitivity_degree,
 )
+from fsg.zoo import (alternating, cyclic, dihedral, frobenius21, holomorph, quaternion,
+                     symmetric, vierergruppe)
 
 
 def cyc(n, *cycles):
@@ -293,10 +301,6 @@ def random_subset_group(rng):
 
 
 def transitivity_oracle_groups():
-    from fsg.fields import make_field
-    from fsg.matgroups import projective_action
-    from fsg.zoo import (alternating, cyclic, dihedral, frobenius21, holomorph,
-                         quaternion, symmetric, vierergruppe)
     groups = [
         symmetric(4), symmetric(5), alternating(5), alternating(6),
         dihedral(5), dihedral(6), cyclic(7), quaternion(), frobenius21(),
@@ -331,13 +335,9 @@ def test_transitivity_degree_matches_tuple_orbits(monkeypatch):
     assert builds == []
 
 
-@pytest.mark.parametrize("build", ["s4", "d6", "a5"])
-def test_one_class_census_per_group(monkeypatch, build):
-    from fsg import perms
-    from fsg.characters import character_table
-    from fsg.zoo import alternating, dihedral, symmetric
-    G = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
-         "a5": lambda: alternating(5)}[build]()
+@pytest.mark.parametrize("build, n", [(symmetric, 4), (dihedral, 6), (alternating, 5)])
+def test_one_class_census_per_group(monkeypatch, build, n):
+    G = build(n)
     runs = []
     census = perms._conjugation_orbits
 
@@ -356,7 +356,7 @@ def test_one_class_census_per_group(monkeypatch, build):
     assert len(runs) == 1
     assert perms.full_conjugacy_classes(G) is blocks
     assert [list(b) for b in blocks] == snapshot      # the table sorted a copy
-    assert simple == (build == "a5")
+    assert simple == (build is alternating)
     assert report[0] == center == data.center_size
     assert sorted(table.class_sizes) == sorted(data.class_sizes)
     # the centre by its definition: elements commuting with every generator
@@ -365,9 +365,6 @@ def test_one_class_census_per_group(monkeypatch, build):
 
 
 def test_threads_share_a_group_across_the_first_census():
-    import sys
-    import threading
-    from fsg.zoo import alternating
     expected = conjugacy_classes(alternating(5))
     G = alternating(5)
     barrier = threading.Barrier(4)
