@@ -25,9 +25,11 @@ class CayleyStructure:
         self.elements = group.element_list()
         self.index = {g.images: i for i, g in enumerate(self.elements)}
         self.n = n
+        images = [g.images for g in self.elements]
+        lookup = self.index.__getitem__
         self.table = [
-            [self.index[(a * b).images] for b in self.elements]
-            for a in self.elements
+            list(map(lookup, [tuple(map(a.__getitem__, b)) for b in images]))
+            for a in images
         ]
         self.identity_index = self.index[tuple(range(group.degree))]
         self.inverse = [0] * n

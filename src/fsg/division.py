@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import InternalDefectError, ValidationError
+from .errors import InternalDefectError, ResourceLimitError, ValidationError
 
 FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
               (5, 6, 1), (6, 7, 2), (7, 1, 3))
+PROBE_SAMPLE_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -170,9 +171,13 @@ def random_octonion(rng):
 
 def associativity_probe(algebra, sample_size):
     """H: full associativity on random triples; O: alternativity on random
-    pairs plus an explicit non-associative basis triple."""
+    pairs plus an explicit non-associative basis triple.  At most
+    PROBE_SAMPLE_BOUND samples, a few seconds of exact arithmetic."""
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
+    if sample_size > PROBE_SAMPLE_BOUND:
+        raise ResourceLimitError(f"{sample_size} samples exceed the fixed probe "
+                                 f"bound of {PROBE_SAMPLE_BOUND}")
     rng = random.Random(0)
     if algebra == "H":
         failures = 0

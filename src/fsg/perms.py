@@ -6,10 +6,21 @@ built at construction with a deterministic Schreier-Sims procedure
 structural queries below are reproducible run to run.
 
 Orders are exact big integers: the order is the product of the
-fundamental orbit lengths along the chain.  Structural queries that
-need the element list (conjugacy classes, center, element-order
-histograms) are guarded by explicit enumeration bounds and raise
-ResourceLimitError beyond them.
+fundamental orbit lengths along the chain.
+
+A permutation is validated where it enters: `Permutation(...)`,
+`Permutation.parse`, `Permutation.from_cycles` and the generators of a
+`PermGroup` each check that the images form a bijection.  A composite of
+validated permutations of one degree is a bijection by construction, so
+products, inverses, powers, transversal entries, sift residues, chain
+elements and class-census members are wrapped unchecked by the private
+`Permutation._trusted`; `__mul__` still refuses a degree mismatch.  The
+closure oracle `closure_order` alone re-validates every product it
+forms, so that it stays independent of this reasoning.
+
+Structural queries that need the element list (conjugacy classes,
+center, element-order histograms) are guarded by explicit enumeration
+bounds and raise ResourceLimitError beyond them.
 
 Groups are immutable once built.  The element list and the class
 partition are filled on first use and kept on the group; threads that
@@ -59,8 +70,16 @@ class Permutation:
     # construction helpers -------------------------------------------------
 
     @staticmethod
+    def _trusted(images):
+        """Wrap an image tuple that is already known to be a bijection, such
+        as a composite of validated permutations of one degree; no check."""
+        p = object.__new__(Permutation)
+        p.images = images
+        return p
+
+    @staticmethod
     def identity(degree):
-        return Permutation(range(degree))
+        return Permutation._trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(degree, cycles):
@@ -131,13 +150,13 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise DomainMismatchError("degree mismatch in permutation product")
-        return Permutation(a[x] for x in b)
+        return Permutation._trusted(tuple(map(a.__getitem__, b)))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, k):
         if k < 0:
@@ -152,7 +171,7 @@ class Permutation:
         return out
 
     def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def moved_points(self):
         return [i for i, x in enumerate(self.images) if i != x]
@@ -274,20 +293,23 @@ class PermGroup:
                     lev.orbit.append(y)
                     queue.append(y)
 
-    def _sift(self, g, start=0):
-        """Sift g through levels >= start; returns the residue."""
+    def _sift(self, h, start=0):
+        """Sift the image tuple h through levels >= start; returns the
+        residue's image tuple."""
         for lev in self.levels[start:]:
-            x = g(lev.base)
+            x = h[lev.base]
             if x == lev.base:
                 continue
-            if x not in lev.transversal:
-                return g
-            g = lev.transversal_inv[x] * g
-        return g
+            u = lev.transversal_inv.get(x)
+            if u is None:
+                break
+            h = tuple(map(u.images.__getitem__, h))
+        return h
 
     def _build_chain(self):
         for g in self.generators:
             self._register(g)
+        ident = tuple(range(self.degree))
         i = len(self.levels) - 1
         while i >= 0:
             lev = self.levels[i]
@@ -298,13 +320,14 @@ class PermGroup:
                     key = (p, s.images)
                     if key in lev.checked:
                         continue
-                    u_sp_inv = lev.transversal_inv[s(p)]
-                    schreier = u_sp_inv * (s * up)
+                    u_sp_inv = lev.transversal_inv[s(p)].images
+                    schreier = tuple(map(u_sp_inv.__getitem__,
+                                         map(s.images.__getitem__, up.images)))
                     residue = self._sift(schreier, i + 1)
-                    if residue.is_identity():
+                    if residue == ident:
                         lev.checked.add(key)
                     else:
-                        i = self._register(residue)
+                        i = self._register(Permutation._trusted(residue))
                         restart = True
                         break
                 if restart:
@@ -324,7 +347,7 @@ class PermGroup:
         if g.degree != self.degree:
             raise DomainMismatchError(
                 f"permutation degree {g.degree} != group degree {self.degree}")
-        return self._sift(g)
+        return Permutation._trusted(self._sift(g.images))
 
     def __contains__(self, g):
         return self.sift(g).is_identity()
@@ -361,14 +384,21 @@ class PermGroup:
 
     def iter_elements(self):
         """All elements, as products down the chain (deterministic order)."""
+        rows = [[lev.transversal[p].images for p in lev.orbit] for lev in self.levels]
+        last = len(rows) - 1
+
         def rec(i, prefix):
-            if i == len(self.levels):
-                yield prefix
-                return
-            lev = self.levels[i]
-            for p in lev.orbit:
-                yield from rec(i + 1, prefix * lev.transversal[p])
-        yield from rec(0, Permutation.identity(self.degree))
+            get = prefix.__getitem__
+            if i == last:
+                for u in rows[i]:
+                    yield Permutation._trusted(tuple(map(get, u)))
+            else:
+                for u in rows[i]:
+                    yield from rec(i + 1, tuple(map(get, u)))
+        if not rows:
+            yield Permutation.identity(self.degree)
+            return
+        yield from rec(0, tuple(range(self.degree)))
 
     def element_list(self):
         """Sorted element list (cached); refuses above the enumeration bound."""
@@ -453,26 +483,28 @@ class ClassData:
 
 def _conjugation_orbits(G, seeds):
     """The class census: conjugation orbits of the seeds, in seed order,
-    complete exactly when the class sizes sum to |G|."""
+    complete exactly when the class sizes sum to |G|.  Conjugates are
+    composed as image tuples, s x s^-1 in one pass, and each block member
+    is wrapped as a Permutation once, at the end."""
     known = set()
     classes = []
     total = 0
     order = G.order()
-    gen_pairs = [(g, g.inverse()) for g in G.generators]
+    gen_pairs = [(g.images.__getitem__, g.inverse().images) for g in G.generators]
     for g in seeds:
         if total == order:
             break
         if g.images in known:
             continue
-        block = [g]
+        block = [g.images]
         known.add(g.images)
         for x in block:
             for s, s_inv in gen_pairs:
-                y = s * x * s_inv
-                if y.images not in known:
-                    known.add(y.images)
+                y = tuple(map(s, map(x.__getitem__, s_inv)))
+                if y not in known:
+                    known.add(y)
                     block.append(y)
-        classes.append(block)
+        classes.append([Permutation._trusted(x) for x in block])
         total += len(block)
     return classes
 
@@ -569,9 +601,16 @@ def is_simple(G: PermGroup) -> bool:
 
 
 def element_order_histogram(G: PermGroup):
-    """Map element order -> count over all of G; counts sum to |G|."""
-    _check_enumerable(G.order())
+    """Map element order -> count over all of G; counts sum to |G|.
+
+    Read off the class census when G has one cached (conjugates share an
+    order); otherwise enumerate G, which costs about half a census."""
     hist = Counter()
+    if G._classes is not None:
+        for block in G._classes:
+            hist[block[0].order()] += len(block)
+        return dict(hist)
+    _check_enumerable(G.order())
     for g in G.iter_elements():
         hist[g.order()] += 1
     return dict(hist)
@@ -580,11 +619,16 @@ def element_order_histogram(G: PermGroup):
 def closure_order(degree, gens) -> int:
     """Order by plain breadth-first closure; the stabilizer-chain oracle.
 
-    Deliberately ignores the chain machinery so the two order computations
-    stay independent.
+    Deliberately ignores the chain machinery and the unchecked product, so
+    the two order computations stay independent: every product it forms
+    is validated again as a new Permutation.
     """
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in gens]
-    ident = Permutation.identity(degree)
+    for g in gens:
+        if g.degree != degree:
+            raise DomainMismatchError(
+                f"generator degree {g.degree} != group degree {degree}")
+    ident = Permutation(range(degree))
     seen = {ident.images}
     queue = [ident]
     qi = 0
@@ -592,7 +636,7 @@ def closure_order(degree, gens) -> int:
         x = queue[qi]
         qi += 1
         for s in gens:
-            y = s * x
+            y = Permutation(map(s.images.__getitem__, x.images))
             if y.images not in seen:
                 seen.add(y.images)
                 queue.append(y)

@@ -11,14 +11,15 @@ InternalDefectError on mismatch, so a returned group is a verified one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 from .cayley import CayleyStructure
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import factorize, is_prime, make_field, prime_power
 from .matgroups import projective_action
-from .perms import PermGroup, Permutation, center_order, group_from_generators
+from .perms import (PARSE_DEGREE_BOUND, PermGroup, Permutation, center_order,
+                    group_from_generators)
 
 
 def _certify(G, expected_order, what):
@@ -182,22 +183,24 @@ def _projective(variant, n, q):
     return projective_action(variant, n, make_field(*pp))
 
 
+# tag -> (constructor, arity, degree of the action it builds as a function
+# of parameters >= 1).  Every degree is at least each parameter.
 _FAMILIES = {
-    "cyclic": (cyclic, True),
-    "dihedral": (dihedral, True),
-    "dicyclic": (dicyclic, True),
-    "clifford": (clifford, True),
-    "clifford_even": (lambda n: clifford(n, even_only=True), True),
-    "symmetric": (symmetric, True),
-    "alternating": (alternating, True),
-    "vierergruppe": (vierergruppe, False),
-    "quaternion": (quaternion, False),
-    "frobenius21": (frobenius21, False),
-    "elementary_abelian": (elementary_abelian, 2),
-    "psl2": (lambda q: _projective("PSL", 2, q), True),
-    "pgl2": (lambda q: _projective("PGL", 2, q), True),
-    "psl3": (lambda q: _projective("PSL", 3, q), True),
-    "pgl3": (lambda q: _projective("PGL", 3, q), True),
+    "cyclic": (cyclic, True, lambda n: n),
+    "dihedral": (dihedral, True, lambda n: n),
+    "dicyclic": (dicyclic, True, lambda n: 4 * n),
+    "clifford": (clifford, True, lambda n: 2 ** (n + 1)),
+    "clifford_even": (lambda n: clifford(n, even_only=True), True, lambda n: 2 ** n),
+    "symmetric": (symmetric, True, lambda n: n),
+    "alternating": (alternating, True, lambda n: n),
+    "vierergruppe": (vierergruppe, False, None),
+    "quaternion": (quaternion, False, None),
+    "frobenius21": (frobenius21, False, None),
+    "elementary_abelian": (elementary_abelian, 2, lambda p, m: p * m),
+    "psl2": (lambda q: _projective("PSL", 2, q), True, lambda q: q + 1),
+    "pgl2": (lambda q: _projective("PGL", 2, q), True, lambda q: q + 1),
+    "psl3": (lambda q: _projective("PSL", 3, q), True, lambda q: q * q + q + 1),
+    "pgl3": (lambda q: _projective("PGL", 3, q), True, lambda q: q * q + q + 1),
 }
 
 # Short names accepted in place of the family tags.
@@ -211,22 +214,33 @@ _ALIASES = {
 
 def construct_named(name, parameter=None):
     """Build a named family member; see _FAMILIES for the accepted tags
-    and _ALIASES for their short names."""
+    and _ALIASES for their short names.
+
+    A member whose degree passes PARSE_DEGREE_BOUND is refused before any
+    permutation is built.  A parameter past the bound is refused before
+    its degree is formed, so no 2^(n+1) or q^2 of a huge n or q is."""
     name = _ALIASES.get(name, name)
     if name not in _FAMILIES:
         raise ValidationError(
             f"unknown group family {name!r}; choose from {sorted(_FAMILIES)} "
             f"or an alias in {sorted(_ALIASES)}")
-    fn, arity = _FAMILIES[name]
+    fn, arity, degree = _FAMILIES[name]
     if arity is False:
         return fn()
     if arity == 2:
         if not (isinstance(parameter, (tuple, list)) and len(parameter) == 2):
             raise ValidationError(f"{name} needs a (p, m) parameter pair")
-        return fn(*parameter)
-    if parameter is None:
+        params = tuple(parameter)
+    elif parameter is None:
         raise ValidationError(f"{name} needs an integer parameter")
-    return fn(int(parameter))
+    else:
+        params = (int(parameter),)
+    if all(x >= 1 for x in params) and (max(params) > PARSE_DEGREE_BOUND
+                                        or degree(*params) > PARSE_DEGREE_BOUND):
+        raise ResourceLimitError(
+            f"{name} with parameter {parameter} acts on more points than the "
+            f"fixed permutation degree bound {PARSE_DEGREE_BOUND}")
+    return fn(*params)
 
 
 # ----------------------------------------------------------------- products
@@ -239,14 +253,17 @@ class ActionMap:
     assignment[k] maps A-element indices (into target_elements) to
     A-element indices and must be an automorphism of A; this is checked
     exhaustively against A's multiplication table at construction time.
+    That table is kept as structure, for the product that uses the action.
     """
 
     target: PermGroup
     acting: PermGroup
     assignment: tuple
+    structure: CayleyStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = CayleyStructure(self.target)
+        object.__setattr__(self, "structure", A)
         if len(self.assignment) != len(self.acting.generators):
             raise ValidationError(
                 "need exactly one automorphism per generator of the acting group")
@@ -268,9 +285,11 @@ def trivial_action(A, B):
 
 def power_action(A, B, k):
     """Each B-generator acts by x -> x^k; k = -1 is inversion, an
-    automorphism iff A is abelian."""
-    cs = CayleyStructure(A)
-    phi = tuple(cs.index[(g ** k).images] for g in cs.elements)
+    automorphism iff A is abelian.  Indices are into A's element list, the
+    order its CayleyStructure uses."""
+    elements = A.element_list()
+    index = {g.images: i for i, g in enumerate(elements)}
+    phi = tuple(index[(g ** k).images] for g in elements)
     return ActionMap(A, B, tuple(phi for _ in B.generators))
 
 
@@ -283,7 +302,7 @@ def semidirect_product(A, B, action: ActionMap) -> PermGroup:
     """
     if action.target is not A or action.acting is not B:
         raise ValidationError("action was built for different groups")
-    ca, cb = CayleyStructure(A), CayleyStructure(B)
+    ca, cb = action.structure, CayleyStructure(B)
     na, nb = ca.n, cb.n
     perms = []
     for ga in ca.generator_indices():

@@ -234,6 +234,25 @@ def test_permutation_degree_bound(capsys):
         assert code == 3 and out == "" and "fixed" in err, argv
 
 
+@pytest.mark.parametrize("name", ["sym", "cyclic", "clifford"])
+@pytest.mark.parametrize("n", [10 ** 20, 100_001])
+def test_named_group_degree_bound(capsys, name, n):
+    # the degree is worked out from the parameter before anything is built:
+    # sym at 10**20 used to exit 70 with OverflowError, and at 10**8 it was
+    # killed while allocating 10**8-point permutations
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "--name", name, "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "fixed permutation degree bound 100000" in err, err
+
+
+def test_named_group_degree_bound_counts_the_action_points(capsys):
+    # clifford(16) acts on 2^17 points although its parameter is small
+    code, out, err = run(capsys, "group", "--name", "clifford", "--n", "16")
+    assert code == 3 and out == "" and "fixed" in err
+    assert run_json(capsys, "group", "--name", "clifford", "--n", "3")["degree"] == 16
+
+
 def test_report_on_a_sparse_high_degree_group(capsys):
     # orbits are one pass over the points: at degree 5000 this took 20 s
     # (2-core x86) when each orbit was found by a min() over the points left
@@ -262,6 +281,8 @@ BOUND_ARGV = [
     (["moonshine", "--j", "1001"], "fixed"),
     (["moonshine", "--cube-root", "1001"], "fixed"),
     (["leech", "--theta-terms", "1001"], "fixed"),
+    (["group", "--name", "sym", "--n", "100001"], "fixed"),     # named-group degree
+    (["algebra", "--probe", "O", "--samples", "1001"], "fixed"),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from fsg.division import (
     FANO_LINES,
+    PROBE_SAMPLE_BOUND,
     Octonion,
     Quaternion,
     associativity_probe,
@@ -15,7 +16,7 @@ from fsg.division import (
     random_octonion,
     random_quaternion,
 )
-from fsg.errors import ValidationError
+from fsg.errors import ResourceLimitError, ValidationError
 
 
 def quat(*vals):
@@ -123,6 +124,15 @@ def test_dispatch_errors():
         associativity_probe("S", 10)    # no sedenions
     with pytest.raises(ValidationError):
         associativity_probe("H", 0)
+
+
+def test_probe_sample_bound():
+    # 10**4 octonion samples took 33 s (2-core x86); the bound is refused
+    # before any sample is drawn
+    assert associativity_probe("H", PROBE_SAMPLE_BOUND)["fully_associative"]
+    for algebra in ("H", "O"):
+        with pytest.raises(ResourceLimitError, match="fixed probe bound of 1000"):
+            associativity_probe(algebra, PROBE_SAMPLE_BOUND + 1)
 
 
 def test_quaternion_hamilton_product_formula():

@@ -288,8 +288,7 @@ def brute_transitivity(G):
     return k, tuples == order
 
 
-def random_subset_group(rng):
-    degree = rng.randint(3, 7)
+def random_subset_group(rng, degree):
     gens = []
     for _ in range(rng.randint(1, 3)):
         moved = rng.sample(range(degree), rng.randint(2, degree))
@@ -313,7 +312,7 @@ def transitivity_oracle_groups():
         group_from_generators(3, []),
     ]
     rng = random.Random(2024)
-    return groups + [random_subset_group(rng) for _ in range(20)]
+    return groups + [random_subset_group(rng, rng.randint(3, 7)) for _ in range(20)]
 
 
 def test_transitivity_degree_matches_tuple_orbits(monkeypatch):
@@ -386,3 +385,87 @@ def test_threads_share_a_group_across_the_first_census():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == (expected, True, (1, 60, 1, True)) for r in results)
+
+
+def trusted_path_groups():
+    """The 17 named groups of the transitivity oracle and 20 seeded random
+    groups of degree 3-12."""
+    rng = random.Random(31)
+    named = transitivity_oracle_groups()[:17]
+    return named + [random_subset_group(rng, rng.randint(3, 12)) for _ in range(20)]
+
+
+def test_trusted_path_yields_valid_permutations():
+    """Products, inverses, powers, chain entries, elements and class members
+    are built unchecked; each must still be a bijection of the group's
+    degree, equal to itself re-validated, and the composite it names."""
+    def valid(p, degree):
+        assert p.degree == degree
+        assert Permutation(list(p.images)) == p
+
+    rng = random.Random(7)
+    for G in trusted_path_groups():
+        n = G.degree
+        for lev in G.levels:
+            for p in lev.orbit:
+                u, u_inv = lev.transversal[p], lev.transversal_inv[p]
+                valid(u, n)
+                valid(u_inv, n)
+                assert u(lev.base) == p and (u * u_inv).is_identity()
+        if G.order() <= 5040:
+            elements = list(G.iter_elements())
+            assert len(set(elements)) == G.order()
+            for block in perms.full_conjugacy_classes(G):
+                for x in block:
+                    valid(x, n)
+                    assert x in G
+        else:
+            elements = [G.random_element(rng) for _ in range(200)]
+        for x in elements:
+            valid(x, n)
+            assert x in G
+            for s in G.generators:
+                valid(x * s, n)
+                assert (x * s).images == tuple(x(s(i)) for i in range(n))
+            valid(x.inverse(), n)
+            assert (x * x.inverse()).is_identity()
+            for k in (-2, 2, 3, x.order()):
+                valid(x ** k, n)
+            assert (x ** x.order()).is_identity()
+            valid(G.sift(x), n)
+
+
+def test_public_entry_points_still_validate():
+    for build in (lambda: Permutation([0, 0]), lambda: Permutation([1, 2]),
+                  lambda: Permutation.from_cycles(3, [(0, 1, 0)]),
+                  lambda: Permutation.parse("[0, 0, 1]"),
+                  lambda: PermGroup(3, [[0, 0, 1]])):
+        with pytest.raises(ValidationError):
+            build()
+
+
+def test_histogram_reads_the_cached_census(monkeypatch):
+    groups = [alt(5), sym(5), dihedral(6), alt(8),
+              projective_action("PSL", 3, make_field(2, 2))]
+    enumerated = [element_order_histogram(G) for G in groups]    # no census yet
+    for G in groups:
+        conjugacy_classes(G)
+    calls = []
+    mul, walk = Permutation.__mul__, PermGroup.iter_elements
+
+    def counting_mul(self, other):
+        calls.append("mul")
+        return mul(self, other)
+
+    def counting_walk(self):
+        calls.append("walk")
+        return walk(self)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    monkeypatch.setattr(PermGroup, "iter_elements", counting_walk)
+    from_census = [element_order_histogram(G) for G in groups]
+    assert calls == []
+    assert from_census == enumerated
+    a8, psl34 = from_census[3:]
+    assert sum(a8.values()) == sum(psl34.values()) == 20160
+    assert a8[15] == 2688 and 15 not in psl34
