@@ -1,9 +1,8 @@
 """Dense Cayley-table view of a small permutation group.
 
-Several consumers (automorphism search, character tables, semidirect
-validation) want the group as indexed elements with an integer
-multiplication table; this is only sensible for small orders, so the
-builder enforces a bound.
+Several consumers (automorphism search, semidirect validation) want the
+group as indexed elements with an integer multiplication table; this is
+only sensible for small orders, so the builder enforces a bound.
 """
 
 from __future__ import annotations

@@ -6,12 +6,15 @@ the group exponent; equality and orthogonality reduce to integer
 polynomial identities modulo the m-th cyclotomic polynomial, so no
 floating point appears anywhere.
 
-Nonabelian groups go through the class-sum matrix algebra: the class
-multiplication coefficient matrices are simultaneously diagonalized
-over a prime field F_l with l = 1 (mod m) and l > 2*sqrt(|G|) (the
-standard sufficiency bound for unique lifting), and eigenvalues are
-lifted back to root-of-unity multiplicities.  Abelian groups skip the
-modular detour: a direct cyclic decomposition gives the dual group.
+Every group goes through the class-sum matrix algebra (Dixon,
+Numer. Math. 10, 1967; Schneider, J. Symb. Comput. 9, 1990): the class
+multiplication coefficient matrices, stored as sparse columns, are
+simultaneously diagonalized over a prime field F_l with l = 1 (mod m)
+and l > 2*sqrt(|G|) (the standard sufficiency bound for unique
+lifting), and eigenvalues are lifted back to root-of-unity
+multiplicities.  The values on a class whose elements have order o lie
+in the o-th roots of unity, so each is recovered by a length-o discrete
+Fourier sum over the powers g^t, t < o, and lands at the indices k*m/o.
 
 Table layout: columns (classes) are sorted by (element order, class
 size, smallest member); rows by (degree, then value vectors in
@@ -23,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, repeat
 from math import gcd, isqrt
+from operator import mul
 
-from .cayley import CayleyStructure
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import is_prime, prime_factors
 from .perms import PermGroup, full_conjugacy_classes
@@ -71,29 +75,13 @@ def reduce_root_vector(vec, m):
     phi = cyclotomic_polynomial(m)
     rem = list(vec)
     deg = len(phi) - 1
+    terms = [(i - deg, p) for i, p in enumerate(phi) if p]
     for k in range(len(rem) - 1, deg - 1, -1):
         c = rem[k]
         if c:
-            for i in range(len(phi)):
-                rem[k - deg + i] -= c * phi[i]
+            for i, p in terms:
+                rem[k + i] -= c * p
     return tuple(rem[:deg])
-
-
-def _conv_mod_m(a, b, m):
-    out = [0] * m
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % m] += ai * bj
-    return out
-
-
-def _conj_vector(a, m):
-    out = [0] * m
-    for i, ai in enumerate(a):
-        out[(-i) % m] += ai
-    return out
 
 
 # --------------------------------------------------------------------- table
@@ -123,12 +111,15 @@ class CharacterTable:
         """Exact Eq-style column relations: conjugate-weighted inner product
         of columns i and j equals |G|/|C_i| when i = j and 0 otherwise."""
         m, r = self.exponent, len(self.degrees)
+        support = [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
+                   for row in self.values]
         for i in range(r):
             for j in range(r):
                 acc = [0] * m
-                for row in self.values:
-                    prod = _conv_mod_m(row[i], _conj_vector(row[j], m), m)
-                    acc = [a + p for a, p in zip(acc, prod)]
+                for row in support:
+                    for a, ca in row[i]:
+                        for b, cb in row[j]:
+                            acc[(a - b) % m] += ca * cb
                 red = reduce_root_vector(acc, m)
                 want = self.group_order // self.class_sizes[i] if i == j else 0
                 if red[0] != want or any(c != 0 for c in red[1:]):
@@ -177,10 +168,7 @@ def character_table(G: PermGroup) -> CharacterTable:
     m = 1
     for o in rep_orders:
         m = m * o // gcd(m, o)
-    if all(s == 1 for s in sizes):
-        degrees, rows = _abelian_characters(G, reps, m)
-    else:
-        degrees, rows = _dixon_characters(G, classes, reps, sizes, m)
+    degrees, rows = _dixon_characters(G, classes, reps, sizes, rep_orders, m)
     degrees, rows = _row_sort(degrees, rows, m)
     table = CharacterTable(
         degrees=degrees,
@@ -213,90 +201,10 @@ def _verify_table(t: CharacterTable):
         raise InternalDefectError("column orthogonality fails")
 
 
-# ----------------------------------------------------------------- abelian
-
-
-def _abelian_characters(G, reps, m):
-    """Dual-group table via a direct cyclic decomposition of G.
-
-    Peels generators of maximal order; each lift is adjusted inside the
-    already-built subgroup so the decomposition is direct, and the
-    resulting exponent-coordinate chart is verified to be a bijection.
-    """
-    cs = CayleyStructure(G)
-    n = cs.n
-
-    factors = []          # (element index, order of its direct factor)
-    H = {cs.identity_index}
-    Hgens = []
-    while len(H) < n:
-        best, best_ord = None, 0
-        for x in range(n):
-            if x in H:
-                continue
-            k = 1
-            y = x
-            while y not in H:
-                y = cs.table[y][x]
-                k += 1
-            if k > best_ord:
-                best, best_ord = x, k
-        lifted = None
-        for h in sorted(H):
-            cand = cs.table[best][h]
-            if cs.orders[cand] == best_ord:
-                lifted = cand
-                break
-        if lifted is None:
-            raise InternalDefectError("cyclic factor lift failed")
-        factors.append((lifted, best_ord))
-        Hgens.append(lifted)
-        H = cs.closure(Hgens)
-
-    # coordinate chart: exponent tuples -> element, must be bijective
-    coords = {}
-    def assign(i, elem, expo):
-        if i == len(factors):
-            if elem in coords.values():
-                raise InternalDefectError("abelian decomposition is not direct")
-            coords[expo] = elem
-            return
-        g, order = factors[i]
-        cur = elem
-        for a in range(order):
-            assign(i + 1, cur, expo + (a,))
-            cur = cs.table[cur][g]
-    assign(0, cs.identity_index, ())
-    if len(coords) != n:
-        raise InternalDefectError("abelian coordinate chart incomplete")
-    elem_coord = {e: c for c, e in coords.items()}
-
-    rep_idx = [cs.index[r.images] for r in reps]
-    rows, degrees = [], []
-    def dual(i, tup):
-        if i == len(factors):
-            row = []
-            for e in rep_idx:
-                expo = elem_coord[e]
-                root = sum(t * a * (m // order)
-                           for t, a, (_, order) in zip(tup, expo, factors)) % m
-                vec = [0] * m
-                vec[root] = 1
-                row.append(tuple(vec))
-            rows.append(tuple(row))
-            degrees.append(1)
-            return
-        _, order = factors[i]
-        for t in range(order):
-            dual(i + 1, tup + (t,))
-    dual(0, ())
-    return tuple(degrees), tuple(rows)
-
-
 # ------------------------------------------------------------------- dixon
 
 
-def _dixon_characters(G, classes, reps, sizes, m):
+def _dixon_characters(G, classes, reps, sizes, orders, m):
     n = G.order()
     r = len(classes)
     ell = _lifting_prime(m, n)
@@ -306,24 +214,27 @@ def _dixon_characters(G, classes, reps, sizes, m):
             class_of[g.images] = ci
 
     inv_class = [class_of[rep.inverse().images] for rep in reps]
-    power_class = [[class_of[(rep ** t).images] for t in range(m)] for rep in reps]
+    power_class = [[class_of[p.images]
+                    for p in accumulate(repeat(rep, o - 1), mul, initial=rep ** 0)]
+                   for rep, o in zip(reps, orders)]
+    rep_images = [rep.images for rep in reps]
 
-    # class multiplication coefficients: a[i][j][k] with fixed target rep z_k
-    mats = []
-    for i in range(r):
-        mat = [[0] * r for _ in range(r)]
-        for k in range(r):
-            zk = reps[k]
-            for x in classes[i]:
-                j = class_of[(x.inverse() * zk).images]
-                mat[j][k] += 1
-        mats.append(mat)
+    def class_matrix(i):
+        """Class multiplication coefficients a_ijk, with fixed target rep z_k,
+        as sparse columns: entry k is {j: a_ijk} over the nonzero a_ijk."""
+        cols = [{} for _ in range(r)]
+        for x in classes[i]:
+            x_inv = x.inverse().images.__getitem__
+            for col, zk in zip(cols, rep_images):
+                j = class_of[tuple(map(x_inv, zk))]
+                col[j] = col.get(j, 0) + 1
+        return cols
 
     spaces = [[_unit_vector(r, j) for j in range(r)]]
     for i in range(1, r):
         if all(len(s) == 1 for s in spaces):
             break
-        mat = [[v % ell for v in row] for row in mats[i]]
+        mat = class_matrix(i)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
@@ -334,20 +245,21 @@ def _dixon_characters(G, classes, reps, sizes, m):
     if any(len(s) != 1 for s in spaces):
         raise InternalDefectError("class matrices failed to split the algebra")
 
-    phi_m = None
     degrees, rows = [], []
     zeta = _root_of_unity(ell, m)
     zeta_pows = [pow(zeta, k, ell) for k in range(m)]
-    inv_m = pow(m % ell, ell - 2, ell)
     size_inv = [pow(s % ell, ell - 2, ell) for s in sizes]
+    order_inv = {o: pow(o, ell - 2, ell) for o in set(orders)}
+    # dft[o][k][t] = zeta_o^(-k*t), the Fourier matrix of each class order
+    dft = {o: [[zeta_pows[-k * t * (m // o) % m] for t in range(o)]
+               for k in range(o)] for o in set(orders)}
     for basis in spaces:
+        # Row 0 of every class matrix is the unit vector e_i (x^-1 z_k is the
+        # identity only for x = z_k), so the eigenvalue of class i on v is
+        # v_i / v_0; v_0 = 0 would make every eigenvalue 0 and fail below.
         v = basis[0]
-        pivot = next(j for j in range(r) if v[j] % ell)
-        piv_inv = pow(v[pivot], ell - 2, ell)
-        omega = []
-        for i in range(r):
-            out = sum(mats[i][pivot][k] * v[k] for k in range(r)) % ell
-            omega.append(out * piv_inv % ell)
+        v0_inv = pow(v[0], ell - 2, ell)
+        omega = [x * v0_inv % ell for x in v]
         s = sum(omega[i] * omega[inv_class[i]] % ell * size_inv[i]
                 for i in range(r)) % ell
         d2 = n % ell * pow(s, ell - 2, ell) % ell
@@ -356,15 +268,16 @@ def _dixon_characters(G, classes, reps, sizes, m):
             raise InternalDefectError("degree recovery failed")
         chi = [d * omega[i] % ell * size_inv[i] % ell for i in range(r)]
         row = []
-        for i in range(r):
+        for powers, o in zip(power_class, orders):
+            # multiplicity of zeta_o^k = zeta_m^(k*m/o) in chi(g), g of order o
+            step = m // o
+            values = [chi[c] for c in powers]
             vec = [0] * m
-            for k in range(m):
-                c = sum(chi[power_class[i][t]] * zeta_pows[(-k * t) % m]
-                        for t in range(m)) % ell
-                c = c * inv_m % ell
+            for k, zs in enumerate(dft[o]):
+                c = sum(map(mul, values, zs)) % ell * order_inv[o] % ell
                 if c > d:
                     raise InternalDefectError("root multiplicity exceeds degree")
-                vec[k] = c
+                vec[k * step] = c
             row.append(tuple(vec))
         degrees.append(d)
         rows.append(tuple(row))
@@ -403,9 +316,14 @@ def _root_of_unity(ell, m):
 # --------------------------------------------------- linear algebra over F_l
 
 
-def _mat_vec(mat, v, ell):
-    r = len(v)
-    return [sum(mat[j][k] * v[k] for k in range(r)) % ell for j in range(r)]
+def _mat_vec(cols, v, ell):
+    """The product of a sparse-column matrix (cols[k] = {j: a_jk}) and v."""
+    out = [0] * len(v)
+    for col, vk in zip(cols, v):
+        if vk:
+            for j, a in col.items():
+                out[j] += a * vk
+    return [x % ell for x in out]
 
 
 def _split_space(basis, mat, ell):

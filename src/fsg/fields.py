@@ -141,6 +141,7 @@ class _Codes:
     def __init__(self, p, f):
         self.p, self.f, self.q = p, f, p ** f
         self.one = self.q // p          # the constant 1 is the top digit
+        self._generator = None
 
     def coeffs(self, c):
         """The f coefficients of code c, low degree first."""
@@ -157,11 +158,14 @@ class _Codes:
 
     def generator(self):
         """The smallest code of multiplicative order q-1: g^((q-1)/r) != 1
-        for every prime r | q-1."""
-        n = self.q - 1
-        radicals = prime_factors(n)
-        return next(g for g in range(1, self.q)
-                    if all(self.pow(g, n // r) != self.one for r in radicals))
+        for every prime r | q-1.  Searched once, then kept."""
+        if self._generator is None:
+            n = self.q - 1
+            radicals = prime_factors(n)
+            self._generator = next(
+                g for g in range(1, self.q)
+                if all(self.pow(g, n // r) != self.one for r in radicals))
+        return self._generator
 
 
 class _PrimeCodes(_Codes):

@@ -166,7 +166,7 @@ def _euler_product_coeffs(n_max):
 def delta_expansion(num_terms) -> IntegerSeries:
     """Delta = q * prod (1-q^n)^24, exact through q^num_terms."""
     if num_terms < 1:
-        raise ValidationError("need at least the q^1 term")
+        raise ValidationError("the delta expansion needs num_terms >= 1")
     if num_terms > DELTA_TERM_BOUND:
         raise ResourceLimitError(
             f"delta expansion capped at the fixed bound of {DELTA_TERM_BOUND} terms")
@@ -193,6 +193,8 @@ def eisenstein_e4(num_terms) -> IntegerSeries:
 
 def j_expansion(num_terms) -> IntegerSeries:
     """j = E4^3 / Delta, exact from q^-1 through q^num_terms."""
+    if num_terms < -1:
+        raise ValidationError("the j expansion needs num_terms >= -1")
     if num_terms > J_TERM_BOUND:
         raise ResourceLimitError(
             f"j expansion capped at the fixed bound of {J_TERM_BOUND} terms")
@@ -210,6 +212,8 @@ def j_cube_root(num_terms) -> IntegerSeries:
     This is the cube root of j with the fractional prefactor q^(-1/3)
     stripped off, so no rational-exponent machinery is needed.
     """
+    if num_terms < 0:
+        raise ValidationError("the cube root needs num_terms >= 0")
     if num_terms > J_TERM_BOUND:
         raise ResourceLimitError(
             f"cube root capped at the fixed bound of {J_TERM_BOUND} terms")

@@ -78,6 +78,38 @@ def test_abelian_tables_all_degree_one():
         assert t.check_column_orthogonality()
 
 
+ABELIAN = ([pytest.param(cyclic(n), id=f"Z{n}") for n in range(1, 31)] + [
+    pytest.param(vierergruppe(), id="V"),
+    pytest.param(elementary_abelian(2, 3), id="E2^3"),
+    pytest.param(elementary_abelian(3, 2), id="E3^2"),
+    pytest.param(direct_product(cyclic(2), cyclic(4)), id="Z2xZ4"),
+    pytest.param(direct_product(cyclic(2), cyclic(6)), id="Z2xZ6"),
+])
+
+
+@pytest.mark.parametrize("G", ABELIAN)
+def test_abelian_rows_are_the_dual_group(G):
+    # independent of the class algebra: read each row as one root index per
+    # element and check it against the group's own multiplication
+    t = character_table(G)
+    m, n = t.exponent, G.order()
+    # every class is one element; columns go by (element order, smallest images)
+    elements = sorted(G.element_list(), key=lambda g: (g.order(), g.images))
+    column = {g.images: i for i, g in enumerate(elements)}
+    assert len(column) == len(t.class_sizes) == n
+    rows = set()
+    for row in t.values:
+        roots = []
+        for vec in row:
+            assert sorted(vec) == [0] * (m - 1) + [1]
+            roots.append(vec.index(1))
+        for g, rg in zip(elements, roots):
+            for h, rh in zip(elements, roots):
+                assert roots[column[(g * h).images]] == (rg + rh) % m
+        rows.add(tuple(roots))
+    assert len(rows) == len(t.values) == n
+
+
 def test_vierergruppe_table():
     t = character_table(vierergruppe())
     assert t.as_integer_matrix() == [

@@ -206,6 +206,22 @@ def test_leech_theta_via_cli(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, lowest, message", [
+    (["moonshine", "--j"], -1, "the j expansion needs num_terms >= -1"),
+    (["moonshine", "--cube-root"], 0, "the cube root needs num_terms >= 0"),
+    (["moonshine", "--delta"], 1, "the delta expansion needs num_terms >= 1"),
+    (["leech", "--theta-terms"], 0, "the theta prefix needs num_terms >= 0"),
+])
+def test_series_term_count_lower_rule(capsys, argv, lowest, message):
+    # the lowest count lists exactly the series' first term; below it, exit 2
+    # with the series' own rule, however far below
+    [first_only] = run_json(capsys, *argv, str(lowest)).values()
+    assert len(first_only) == 1
+    for count in (lowest - 1, lowest - 2, -10 ** 6):
+        code, out, err = run(capsys, *argv, str(count))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), count
+
+
 @pytest.mark.parametrize("flag", ["--gens", "--contains"])
 def test_malformed_cycle_notation_exit_2(capsys, flag):
     for text in ("(0 1", "(0 x)", "[1, x]"):

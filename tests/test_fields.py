@@ -283,6 +283,22 @@ def test_same_answers_across_the_table_switch(q):
     assert answers == [(F.add(a, b), F.mul(a, b)) for a, b in pairs]
 
 
+def test_table_build_reuses_the_generator(monkeypatch):
+    # the generator search runs once per field: the table build takes the
+    # generator that multiplicative_generator found instead of searching again
+    F = make_field(11, 2)
+    searches = []
+    monkeypatch.setattr(fields, "prime_factors",
+                        lambda n: searches.append(n) or prime_factors(n))
+    g = multiplicative_generator(F)
+    one = F.one()
+    while F.codes.tables is None:
+        F.mul(one, one)
+    assert searches == [120]
+    assert F.codes.tables[0][1] == g.code
+    assert multiplicative_generator(F) == g and searches == [120]
+
+
 def test_elements_are_immutable_values():
     F = make_field(3, 2)
     a = F.element([1, 2])
