@@ -12,9 +12,10 @@ multiplication coefficient matrices, stored as sparse columns, are
 simultaneously diagonalized over a prime field F_l with l = 1 (mod m)
 and l > 2*sqrt(|G|) (the standard sufficiency bound for unique
 lifting), and eigenvalues are lifted back to root-of-unity
-multiplicities.  The values on a class whose elements have order o lie
-in the o-th roots of unity, so each is recovered by a length-o discrete
-Fourier sum over the powers g^t, t < o, and lands at the indices k*m/o.
+multiplicities.  A value on a class whose elements have order o is a
+sum of o-th roots of unity, so its multiplicities come from a length-o
+discrete Fourier sum over the powers g^t, t < o, and sit at the indices
+k*m/o.
 
 Table layout: columns (classes) are sorted by (element order, class
 size, smallest member); rows by (degree, then value vectors in
