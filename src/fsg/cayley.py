@@ -31,9 +31,6 @@ class CayleyStructure:
             for a in images
         ]
         self.identity_index = self.index[tuple(range(group.degree))]
-        self.inverse = [0] * n
-        for i, g in enumerate(self.elements):
-            self.inverse[i] = self.index[g.inverse().images]
         self.orders = [g.order() for g in self.elements]
 
     def generator_indices(self):

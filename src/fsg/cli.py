@@ -158,7 +158,7 @@ def _cmd_chartab(args):
     ints = table.as_integer_matrix()
     if all(v is not None for row in ints for v in row):
         out["integer_table"] = ints
-    out["column_orthogonality"] = table.check_column_orthogonality()
+    out["column_orthogonality"] = True   # characters._verify_table checked it, or raised
     return out
 
 

@@ -6,7 +6,9 @@ octonion multiplication table is the oriented-triple (Fano plane)
 convention with lines (1,2,4),(2,3,5),(3,4,6),(4,5,7),(5,6,1),(6,7,2),
 (7,1,3): the orientation is a convention, fixed here once, and the
 table is validated on first use (anticommutativity, unit squares -1,
-alternativity on all basis triples).
+alternativity on all basis triples).  The quaternions are the span of
+(1, e1, e2, e4), closed because (1, 2, 4) is a Fano line: i, j, k = e1,
+e2, e4, and both algebras multiply through the one table.
 """
 
 from __future__ import annotations
@@ -15,53 +17,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 
 FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
               (5, 6, 1), (6, 7, 2), (7, 1, 3))
 PROBE_SAMPLE_BOUND = 1000
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    u: Fraction
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    def __add__(self, o):
-        return Quaternion(self.u + o.u, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __sub__(self, o):
-        return Quaternion(self.u - o.u, self.x - o.x, self.y - o.y, self.z - o.z)
-
-    def __mul__(self, o):
-        # real part u*u' - x.x'; vector part u*x' + u'*x + x ^ x'
-        a, b, c, d = self.u, self.x, self.y, self.z
-        e, f, g, h = o.u, o.x, o.y, o.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    def conjugate(self):
-        return Quaternion(self.u, -self.x, -self.y, -self.z)
-
-    def norm(self) -> Fraction:
-        return self.u ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-
-    def is_zero(self):
-        return self.norm() == 0
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            return None
-        c = self.conjugate()
-        return Quaternion(c.u / n, c.x / n, c.y / n, c.z / n)
 
 
 def _build_octonion_table():
@@ -84,14 +46,19 @@ def _build_octonion_table():
 
 
 def _mul_coords(table, u, v):
-    out = [0] * 8
-    for i, a in enumerate(u):
+    """u * v over table's basis, on integer numerators over the common
+    denominators of u and v; one Fraction per coordinate at the end."""
+    du, dv = lcm(*(a.denominator for a in u)), lcm(*(b.denominator for b in v))
+    nu = [a.numerator * (du // a.denominator) for a in u]
+    nv = [b.numerator * (dv // b.denominator) for b in v]
+    out = [0] * len(u)
+    for i, a in enumerate(nu):
         if a:
-            for j, b in enumerate(v):
+            for j, b in enumerate(nv):
                 if b:
                     k, s = table[i][j]
                     out[k] += s * a * b
-    return tuple(out)
+    return tuple(Fraction(c, du * dv) for c in out)
 
 
 @cache
@@ -99,6 +66,15 @@ def octonion_table():
     table = _build_octonion_table()
     _validate_octonion_table(table)
     return table
+
+
+@cache
+def _basis_table(basis):
+    """octonion_table() on the span of the units in basis, which the product
+    must close: entry [i][j] = (position of the product unit, sign)."""
+    pos = {b: i for i, b in enumerate(basis)}
+    table = octonion_table()
+    return tuple(tuple((pos[table[a][b][0]], table[a][b][1]) for b in basis) for a in basis)
 
 
 def _validate_octonion_table(table):
@@ -123,26 +99,22 @@ def _validate_octonion_table(table):
 
 
 @dataclass(frozen=True)
-class Octonion:
-    coords: tuple               # 8 fractions over basis (1, e1..e7)
-
-    @staticmethod
-    def unit(i):
-        coords = [Fraction(0)] * 8
-        coords[i] = Fraction(1)
-        return Octonion(tuple(coords))
+class _Algebra:
+    """Fractions over the octonion units BASIS (1 first), a span the table
+    closes; the real part is coords[0]."""
+    coords: tuple
 
     def __add__(self, o):
-        return Octonion(tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return type(self)(tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     def __sub__(self, o):
-        return Octonion(tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return type(self)(tuple(a - b for a, b in zip(self.coords, o.coords)))
 
     def __mul__(self, o):
-        return Octonion(_mul_coords(octonion_table(), self.coords, o.coords))
+        return type(self)(_mul_coords(_basis_table(self.BASIS), self.coords, o.coords))
 
     def conjugate(self):
-        return Octonion((self.coords[0],) + tuple(-c for c in self.coords[1:]))
+        return type(self)((self.coords[0],) + tuple(-c for c in self.coords[1:]))
 
     def norm(self) -> Fraction:
         return sum(c * c for c in self.coords)
@@ -154,7 +126,21 @@ class Octonion:
         n = self.norm()
         if n == 0:
             return None
-        return Octonion(tuple(c / n for c in self.conjugate().coords))
+        return type(self)(tuple(c / n for c in self.conjugate().coords))
+
+
+class Quaternion(_Algebra):
+    BASIS = (0, 1, 2, 4)
+
+
+class Octonion(_Algebra):
+    BASIS = tuple(range(8))
+
+    @staticmethod
+    def unit(i):
+        coords = [Fraction(0)] * 8
+        coords[i] = Fraction(1)
+        return Octonion(tuple(coords))
 
 
 def _random_fraction(rng):
@@ -162,7 +148,7 @@ def _random_fraction(rng):
 
 
 def random_quaternion(rng):
-    return Quaternion(*(_random_fraction(rng) for _ in range(4)))
+    return Quaternion(tuple(_random_fraction(rng) for _ in range(4)))
 
 
 def random_octonion(rng):

@@ -3,7 +3,9 @@
 A group is entered by generators; a base and strong generating set are
 built at construction with a deterministic Schreier-Sims procedure
 (explicit transversals, no randomization), so order, membership and the
-structural queries below are reproducible run to run.
+structural queries below are reproducible run to run.  Each level keeps
+one inverse transversal, orbit point p -> image tuple of u_p^-1, the form
+the sift reads; its tuples share one identity tuple's ints.
 
 Orders are exact big integers: the order is the product of the
 fundamental orbit lengths along the chain.
@@ -12,8 +14,8 @@ A permutation is validated where it enters: `Permutation(...)`,
 `Permutation.parse`, `Permutation.from_cycles` and the generators of a
 `PermGroup` each check that the images form a bijection.  A composite of
 validated permutations of one degree is a bijection by construction, so
-products, inverses, powers, transversal entries, sift residues, chain
-elements and class-census members are wrapped unchecked by the private
+products, inverses, powers, sift residues, chain elements and
+class-census members are wrapped unchecked by the private
 `Permutation._trusted`; `__mul__` still refuses a degree mismatch.  The
 closure oracle `closure_order` alone re-validates every product it
 forms, so that it stays independent of this reasoning.
@@ -34,7 +36,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
@@ -50,6 +52,14 @@ def _check_enumerable(n):
     if n > bound:
         raise ResourceLimitError(f"group order {n} exceeds the element-enumeration "
                                  f"bound {bound} (setting FSG_ENUMERATION_BOUND)")
+
+
+def _invert(images):
+    """Image tuple of the inverse of the permutation with these images."""
+    inv = [0] * len(images)
+    for i, x in enumerate(images):
+        inv[x] = i
+    return tuple(inv)
 
 
 class Permutation:
@@ -153,10 +163,7 @@ class Permutation:
         return Permutation._trusted(tuple(map(a.__getitem__, b)))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._trusted(_invert(self.images))
 
     def __pow__(self, k):
         if k < 0:
@@ -214,17 +221,16 @@ class Permutation:
 
 
 class _Level:
-    """One stabilizer-chain level: base point, transversal, own strong gens."""
+    """One chain level: base point, own strong generators as (images,
+    inverse images), and inv: orbit point p -> images of u_p^-1, in
+    discovery order."""
 
-    __slots__ = ("base", "gens", "orbit", "transversal", "transversal_inv", "checked")
+    __slots__ = ("base", "gens", "inv", "checked")
 
-    def __init__(self, base, degree):
+    def __init__(self, base, identity):
         self.base = base
-        self.gens = []            # strong generators registered at this level
-        self.orbit = [base]       # discovery order
-        ident = Permutation.identity(degree)
-        self.transversal = {base: ident}
-        self.transversal_inv = {base: ident}
+        self.gens = []
+        self.inv = {base: identity}
         self.checked = set()      # Schreier pairs already sifted to identity
 
 
@@ -244,12 +250,11 @@ class PermGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self.levels = []
+        self._identity = tuple(range(self.degree))
         self._element_list = None
         self._classes = None
         self._build_chain()
-        self._order = 1
-        for lev in self.levels:
-            self._order *= len(lev.orbit)
+        self._order = prod(self.basic_orbit_sizes())
 
     # ------------------------------------------------------------------ chain
 
@@ -260,37 +265,33 @@ class PermGroup:
         return out
 
     def _register(self, h):
-        """Place a non-identity strong generator at its level; extend orbits.
-        An h that fixes every base point opens a level at its least moved point."""
+        """Place a non-identity strong generator (images h) at its level;
+        extend orbits.  An h fixing every base point opens a level at its
+        least moved point."""
         for j, lev in enumerate(self.levels):
-            if h(lev.base) != lev.base:
+            if h[lev.base] != lev.base:
                 break
         else:
             j = len(self.levels)
-            lev = _Level(min(h.moved_points()), self.degree)
+            lev = _Level(min(i for i, x in enumerate(h) if i != x), self._identity)
             self.levels.append(lev)
-        lev.gens.append(h)
+        lev.gens.append((h, _invert(h)))
         for l in range(j + 1):
             self._extend_orbit(l)
         return j
 
     def _extend_orbit(self, i):
-        """Grow level i's orbit in place; existing transversal entries persist."""
-        lev = self.levels[i]
+        """Grow level i's orbit in place; existing entries persist.  A new
+        point y = s(p) gets u_y^-1 = u_p^-1 s^-1."""
+        inv = self.levels[i].inv
         gens = self._gens_at(i)
-        queue = list(lev.orbit)
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
-            up = lev.transversal[p]
-            for s in gens:
-                y = s(p)
-                if y not in lev.transversal:
-                    u = s * up
-                    lev.transversal[y] = u
-                    lev.transversal_inv[y] = u.inverse()
-                    lev.orbit.append(y)
+        queue = list(inv)
+        for p in queue:
+            up_inv = inv[p].__getitem__
+            for s, s_inv in gens:
+                y = s[p]
+                if y not in inv:
+                    inv[y] = tuple(map(up_inv, s_inv))
                     queue.append(y)
 
     def _sift(self, h, start=0):
@@ -300,34 +301,34 @@ class PermGroup:
             x = h[lev.base]
             if x == lev.base:
                 continue
-            u = lev.transversal_inv.get(x)
+            u = lev.inv.get(x)
             if u is None:
                 break
-            h = tuple(map(u.images.__getitem__, h))
+            h = tuple(map(u.__getitem__, h))
         return h
 
     def _build_chain(self):
         for g in self.generators:
-            self._register(g)
-        ident = tuple(range(self.degree))
+            self._register(g.images)
         i = len(self.levels) - 1
         while i >= 0:
             lev = self.levels[i]
             restart = False
-            for p in list(lev.orbit):
-                up = lev.transversal[p]
-                for s in self._gens_at(i):
-                    key = (p, s.images)
+            for p in list(lev.inv):
+                up = None               # u_p, inverted only for an unchecked pair
+                for s, _ in self._gens_at(i):
+                    key = (p, s)
                     if key in lev.checked:
                         continue
-                    u_sp_inv = lev.transversal_inv[s(p)].images
-                    schreier = tuple(map(u_sp_inv.__getitem__,
-                                         map(s.images.__getitem__, up.images)))
+                    if up is None:
+                        up = _invert(lev.inv[p])
+                    schreier = tuple(map(lev.inv[s[p]].__getitem__,
+                                         map(s.__getitem__, up)))
                     residue = self._sift(schreier, i + 1)
-                    if residue == ident:
+                    if residue == self._identity:
                         lev.checked.add(key)
                     else:
-                        i = self._register(Permutation._trusted(residue))
+                        i = self._register(residue)
                         restart = True
                         break
                 if restart:
@@ -341,7 +342,7 @@ class PermGroup:
         return self._order
 
     def basic_orbit_sizes(self):
-        return [len(lev.orbit) for lev in self.levels]
+        return [len(lev.inv) for lev in self.levels]
 
     def sift(self, g):
         if g.degree != self.degree:
@@ -384,7 +385,7 @@ class PermGroup:
 
     def iter_elements(self):
         """All elements, as products down the chain (deterministic order)."""
-        rows = [[lev.transversal[p].images for p in lev.orbit] for lev in self.levels]
+        rows = [list(map(_invert, lev.inv.values())) for lev in self.levels]
         last = len(rows) - 1
 
         def rec(i, prefix):
@@ -398,7 +399,7 @@ class PermGroup:
         if not rows:
             yield Permutation.identity(self.degree)
             return
-        yield from rec(0, tuple(range(self.degree)))
+        yield from rec(0, self._identity)
 
     def element_list(self):
         """Sorted element list (cached); refuses above the enumeration bound."""
@@ -408,11 +409,12 @@ class PermGroup:
         return self._element_list
 
     def random_element(self, rng: random.Random):
-        """Uniformly random element via uniform transversal choices."""
-        g = Permutation.identity(self.degree)
+        """Uniformly random element u_0 u_1 ... via uniform transversal
+        choices: composes g^-1 = ... u_1^-1 u_0^-1, then inverts once."""
+        h = self._identity
         for lev in self.levels:
-            g = g * lev.transversal[rng.choice(lev.orbit)]
-        return g
+            h = tuple(map(rng.choice(list(lev.inv.values())).__getitem__, h))
+        return Permutation._trusted(_invert(h))
 
     def is_abelian(self):
         return all((a * b).images == (b * a).images

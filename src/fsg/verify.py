@@ -217,10 +217,10 @@ def _check_group_properties():
         n = G.order()
         # Lagrange along the chain
         rest = n
-        for lev in G.levels:
-            if rest % len(lev.orbit):
+        for size in G.basic_orbit_sizes():
+            if rest % size:
                 problems.append(f"{name}: orbit size fails Lagrange")
-            rest //= len(lev.orbit)
+            rest //= size
         # BSGS order vs brute-force closure for everything small
         if n <= 5040 and closure_order(G.degree, G.generators) != n:
             problems.append(f"{name}: closure oracle disagrees with chain order")

@@ -21,7 +21,7 @@ from fsg.errors import ResourceLimitError, ValidationError
 
 def quat(*vals):
     """The quaternion with the given leading components, the rest 0."""
-    return Quaternion(*(Fraction(v) for v in vals + (0,) * (4 - len(vals))))
+    return Quaternion(tuple(Fraction(v) for v in vals + (0,) * (4 - len(vals))))
 
 
 def octo(*vals):
@@ -140,14 +140,15 @@ def test_quaternion_hamilton_product_formula():
     rng = random.Random(11)
     for _ in range(50):
         a, b = random_quaternion(rng), random_quaternion(rng)
-        real = a.u * b.u - (a.x * b.x + a.y * b.y + a.z * b.z)
-        cross = (a.y * b.z - a.z * b.y,
-                 a.z * b.x - a.x * b.z,
-                 a.x * b.y - a.y * b.x)
-        want = Quaternion(
+        (au, ax, ay, az), (bu, bx, by, bz) = a.coords, b.coords
+        real = au * bu - (ax * bx + ay * by + az * bz)
+        cross = (ay * bz - az * by,
+                 az * bx - ax * bz,
+                 ax * by - ay * bx)
+        want = Quaternion((
             real,
-            a.u * b.x + b.u * a.x + cross[0],
-            a.u * b.y + b.u * a.y + cross[1],
-            a.u * b.z + b.u * a.z + cross[2],
-        )
+            au * bx + bu * ax + cross[0],
+            au * by + bu * ay + cross[1],
+            au * bz + bu * az + cross[2],
+        ))
         assert a * b == want

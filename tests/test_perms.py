@@ -258,9 +258,9 @@ def test_lagrange_along_chain():
     for G in [sym(5), alt(6), sym(6)]:
         n = G.order()
         sub = n
-        for lev in G.levels:
-            assert sub % len(lev.orbit) == 0
-            sub //= len(lev.orbit)
+        for size in G.basic_orbit_sizes():
+            assert sub % size == 0
+            sub //= size
         assert sub == 1
 
 
@@ -407,11 +407,9 @@ def test_trusted_path_yields_valid_permutations():
     for G in trusted_path_groups():
         n = G.degree
         for lev in G.levels:
-            for p in lev.orbit:
-                u, u_inv = lev.transversal[p], lev.transversal_inv[p]
-                valid(u, n)
-                valid(u_inv, n)
-                assert u(lev.base) == p and (u * u_inv).is_identity()
+            for p, u_inv in lev.inv.items():     # u_p^-1 maps p to the base
+                valid(Permutation._trusted(u_inv), n)
+                assert u_inv[p] == lev.base
         if G.order() <= 5040:
             elements = list(G.iter_elements())
             assert len(set(elements)) == G.order()
@@ -433,6 +431,23 @@ def test_trusted_path_yields_valid_permutations():
                 valid(x ** k, n)
             assert (x ** x.order()).is_identity()
             valid(G.sift(x), n)
+
+
+def test_chain_stores_one_pointer_per_transversal_image():
+    # one inverse transversal whose tuples share the identity's ints costs
+    # about 8 bytes (one pointer) per stored image
+    import tracemalloc
+    n = 800
+    cycle = Permutation(list(range(1, n)) + [0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = PermGroup(n, [cycle])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G.order() == n
+    assert retained < 12 * sum(G.basic_orbit_sizes()) * n
 
 
 def test_public_entry_points_still_validate():

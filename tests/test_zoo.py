@@ -124,7 +124,8 @@ def test_power_action_matches_the_table_walk():
     for n in range(3, 13):
         A = cyclic(n)
         cs = CayleyStructure(A)
-        assert power_action(A, B, -1).assignment == (tuple(cs.inverse),)
+        inverse = tuple(row.index(cs.identity_index) for row in cs.table)
+        assert power_action(A, B, -1).assignment == (inverse,)
         for k in (0, n, n + 1, 2 * n + 3):
             walk = [cs.identity_index] * n         # x -> x^k, one step per power
             for _ in range(k):
