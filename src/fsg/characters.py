@@ -141,11 +141,8 @@ class CharacterTable:
 
 def _sorted_classes(G):
     """The group's cached classes, re-sorted into a new list in column order."""
-    classes = full_conjugacy_classes(G)
-    def key(block):
-        rep = min(block, key=lambda g: g.images)
-        return (rep.order(), len(block), rep.images)
-    return sorted(classes, key=key)
+    return sorted(full_conjugacy_classes(G),
+                  key=lambda b: (b[0].order(), len(b), b[0].images))
 
 
 def _row_sort(degrees, rows, m):
@@ -163,7 +160,7 @@ def character_table(G: PermGroup) -> CharacterTable:
         raise ResourceLimitError(f"character tables are limited to the fixed bound "
                                  f"of order {CHARACTER_BOUND}; group has {n}")
     classes = _sorted_classes(G)
-    reps = [min(block, key=lambda g: g.images) for block in classes]
+    reps = [block[0] for block in classes]
     sizes = tuple(len(b) for b in classes)
     rep_orders = tuple(r.order() for r in reps)
     m = 1

@@ -58,8 +58,7 @@ def _parse_ints(text, flag):
 
 
 def _cmd_field(args):
-    from .fields import (field_arithmetic, frobenius_orbit, make_field,
-                         multiplicative_generator)
+    from .fields import frobenius_orbit, make_field, multiplicative_generator
     F = make_field(args.p, args.f)
     out = {"p": F.p, "f": F.f, "q": F.q,
            "modulus_low_to_high": list(F.modulus),
@@ -75,7 +74,8 @@ def _cmd_field(args):
                 raise ValidationError(f"--b takes one integer exponent, got {args.b!r}")
             b = b[0]
         try:
-            r = field_arithmetic(F, args.op, a, b)
+            op = getattr(F, args.op)
+            r = op(a) if b is None else op(a, b)
         except ZeroDivisionError as exc:
             raise ValidationError(str(exc)) from None
         out["op"] = {"name": args.op, "a": list(a.coeffs),

@@ -455,25 +455,6 @@ def make_field(p: int, f: int = 1) -> FieldSpec:
     return FieldSpec(p=p, f=f, modulus=modulus, q=q)
 
 
-def field_arithmetic(spec: FieldSpec, op: str, a: FieldElement, b=None):
-    """Dispatch a single named operation; the CLI front end for the field.
-
-    op is one of add, sub, mul, neg, inv, pow; for pow, b is an integer
-    exponent, for neg and inv b is omitted.
-    """
-    if op in ("add", "sub", "mul"):
-        return getattr(spec, op)(a, b)
-    if op == "neg":
-        return spec.neg(a)
-    if op == "inv":
-        return spec.inv(a)
-    if op == "pow":
-        if not isinstance(b, int):
-            raise ValidationError("pow needs an integer exponent")
-        return spec.pow(a, b)
-    raise ValidationError(f"unknown field operation {op!r}")
-
-
 def frobenius_orbit(spec: FieldSpec, a: FieldElement) -> list:
     """Orbit of a under x -> x^p; its length divides f."""
     spec._code(a)

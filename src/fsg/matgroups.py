@@ -29,7 +29,10 @@ FAMILY_TAGS = (
     "2An", "2Dn", "3D4", "2E6", "2B2", "2G2", "2F4",
 )
 
-RANKLESS = {"G2", "F4", "E6", "E7", "E8", "3D4", "2E6", "2B2", "2G2", "2F4"}
+# The rankless families, each with the degree of its order as a polynomial
+# in q; the one list of them, read by the order formula and the census.
+_RANKLESS_DEGREES = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248,
+                     "3D4": 28, "2E6": 78, "2B2": 5, "2G2": 7, "2F4": 26}
 
 # Twisted tags that name an untwisted family: tag -> (family, rank shift).
 # 2A_n(q) is PSU_{n+1}(q) and 2D_n(q) is the minus-type Omega_2n(q).
@@ -73,7 +76,7 @@ class FamilyOrderQuery:
             raise ValidationError(
                 "POmega_odd is not supported in characteristic 2: "
                 "Omega_2n+1(2^k) is isomorphic to Sp_2n(2^k), so ask for PSp")
-        if self.family not in RANKLESS and self.n < 1:
+        if self.family not in _RANKLESS_DEGREES and self.n < 1:
             raise ValidationError(f"{self.family} needs a rank parameter n >= 1")
 
 
@@ -88,7 +91,7 @@ class OrderResult:
     def as_dict(self):
         d = {"family": self.family, "q": self.q, "order": str(self.order),
              "exceptions": list(self.exceptions)}
-        if self.family not in RANKLESS:
+        if self.family not in _RANKLESS_DEGREES:
             d["n"] = self.n
         return d
 
@@ -122,10 +125,6 @@ def _non_simple_notes(family, n, q):
     if family == "2F4" and q == 2:
         notes.append("2F4(2) is not simple (its derived subgroup has index 2)")
     return tuple(notes)
-
-
-_RANKLESS_DEGREES = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248,
-                     "3D4": 28, "2E6": 78, "2B2": 5, "2G2": 7, "2F4": 26}
 
 
 def _degree(fam, n):
@@ -330,8 +329,7 @@ CENSUS_FAMILIES = (
     ("POmega_odd", 3, "POmega_{odd}({q})"),
     ("POmega_even_plus", 4, "POmega+_{even}({q})"),
     ("POmega_even_minus", 4, "POmega-_{even}({q})"),
-) + tuple((tag, None, tag + "({q})") for tag in
-          ("G2", "F4", "E6", "E7", "E8", "3D4", "2E6", "2B2", "2G2", "2F4"))
+) + tuple((tag, None, tag + "({q})") for tag in _RANKLESS_DEGREES)
 
 
 def _family_members(family, n):

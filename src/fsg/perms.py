@@ -20,9 +20,11 @@ class-census members are wrapped unchecked by the private
 closure oracle `closure_order` alone re-validates every product it
 forms, so that it stays independent of this reasoning.
 
-Structural queries that need the element list (conjugacy classes,
-center, element-order histograms) are guarded by explicit enumeration
-bounds and raise ResourceLimitError beyond them.
+Structural queries that need every element (conjugacy classes, center,
+element-order histograms) are guarded by the enumeration bound and raise
+ResourceLimitError beyond it.  The class census seeds its conjugation
+orbits from the chain's own element iterator, stops once the classes
+cover |G|, and sorts each block by images; it draws nothing at random.
 
 Groups are immutable once built.  The element list and the class
 partition are filled on first use and kept on the group; threads that
@@ -33,7 +35,6 @@ distinct threads may share a group freely.
 from __future__ import annotations
 
 import os
-import random
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
@@ -41,6 +42,8 @@ from math import gcd, prod
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
 ENUMERATION_BOUND = 10 ** 6
+# The order up to which `verify` runs its exhaustive per-group checks, and
+# the bench's cut for groups whose class census it times.
 EXHAUSTIVE_CLASS_BOUND = 10 ** 5
 PARSE_DEGREE_BOUND = 10 ** 5
 
@@ -408,14 +411,6 @@ class PermGroup:
             self._element_list = sorted(self.iter_elements(), key=lambda g: g.images)
         return self._element_list
 
-    def random_element(self, rng: random.Random):
-        """Uniformly random element u_0 u_1 ... via uniform transversal
-        choices: composes g^-1 = ... u_1^-1 u_0^-1, then inverts once."""
-        h = self._identity
-        for lev in self.levels:
-            h = tuple(map(rng.choice(list(lev.inv.values())).__getitem__, h))
-        return Permutation._trusted(_invert(h))
-
     def is_abelian(self):
         return all((a * b).images == (b * a).images
                    for i, a in enumerate(self.generators)
@@ -485,9 +480,10 @@ class ClassData:
 
 def _conjugation_orbits(G, seeds):
     """The class census: conjugation orbits of the seeds, in seed order,
-    complete exactly when the class sizes sum to |G|.  Conjugates are
-    composed as image tuples, s x s^-1 in one pass, and each block member
-    is wrapped as a Permutation once, at the end."""
+    stopping once the class sizes sum to |G|.  Conjugates are composed as
+    image tuples, s x s^-1 in one pass; each block is sorted by images, so
+    block[0] is its smallest member whatever the seed order, and each
+    member is wrapped as a Permutation once, at the end."""
     known = set()
     classes = []
     total = 0
@@ -506,43 +502,35 @@ def _conjugation_orbits(G, seeds):
                 if y not in known:
                     known.add(y)
                     block.append(y)
-        classes.append([Permutation._trusted(x) for x in block])
+        classes.append([Permutation._trusted(x) for x in sorted(block)])
         total += len(block)
     return classes
 
 
-def _random_elements(G, seed=0):
-    rng = random.Random(seed)
-    while True:
-        yield G.random_element(rng)
-
-
 def full_conjugacy_classes(G: PermGroup):
-    """All classes as element lists, canonically sorted (see ClassData).
+    """All classes as element lists, canonically sorted (see ClassData),
+    each block sorted by images.
 
-    The census runs once per group; the sorted tuple of blocks is kept on
-    G, and callers that want another order sort a copy."""
+    At every order under the enumeration bound the seeds are the chain's
+    own element iterator, identity first; the census stops once the
+    classes cover |G| and draws nothing at random.  It runs once per
+    group; the sorted tuple of blocks is kept on G, and callers that want
+    another order sort a copy."""
     if G._classes is not None:
         return G._classes
     n = G.order()
-    if n <= EXHAUSTIVE_CLASS_BOUND:
-        seeds = G.element_list()
-    else:
-        _check_enumerable(n)
-        seeds = _random_elements(G)
-    classes = _conjugation_orbits(G, seeds)
+    _check_enumerable(n)
+    classes = _conjugation_orbits(G, G.iter_elements())
     if sum(len(c) for c in classes) != n:
         raise AssertionError("class sizes do not sum to the group order")
-    def key(block):
-        rep = min(block, key=lambda g: g.images)
-        return (rep.order(), len(rep.moved_points()), len(block), rep.images)
-    G._classes = tuple(sorted(classes, key=key))
+    G._classes = tuple(sorted(classes, key=lambda b: (
+        b[0].order(), len(b[0].moved_points()), len(b), b[0].images)))
     return G._classes
 
 
 def conjugacy_classes(G: PermGroup) -> ClassData:
     classes = full_conjugacy_classes(G)
-    reps = tuple(min(block, key=lambda g: g.images) for block in classes)
+    reps = tuple(block[0] for block in classes)
     sizes = tuple(len(block) for block in classes)
     orders = tuple(rep.order() for rep in reps)
     return ClassData(

@@ -207,8 +207,8 @@ def _suite_groups():
 
 def _check_group_properties():
     from .fields import is_prime, prime_factors
-    from .perms import (center_order, closure_order, conjugacy_classes,
-                        element_order_histogram, is_simple)
+    from .perms import (EXHAUSTIVE_CLASS_BOUND, center_order, closure_order,
+                        conjugacy_classes, element_order_histogram, is_simple)
     problems = []
     groups = _suite_groups()
     simple_expected = {"Z2", "Z3", "Z5", "Z7", "Z11", "Alt_5", "Alt_6",
@@ -225,14 +225,14 @@ def _check_group_properties():
         if n <= 5040 and closure_order(G.degree, G.generators) != n:
             problems.append(f"{name}: closure oracle disagrees with chain order")
         # involution parity (Cauchy)
-        if n <= 10 ** 5:
+        if n <= EXHAUSTIVE_CLASS_BOUND:
             hist = element_order_histogram(G)
             if n % 2 == 0 and (hist.get(2, 0) < 1 or hist[2] % 2 == 0):
                 problems.append(f"{name}: involution parity violated")
             if n % 2 == 1 and 2 in hist:
                 problems.append(f"{name}: odd group with involutions")
         # class sizes divide the order
-        if n <= 10 ** 5:
+        if n <= EXHAUSTIVE_CLASS_BOUND:
             for s in conjugacy_classes(G).class_sizes:
                 if n % s:
                     problems.append(f"{name}: class size {s} fails divisibility")

@@ -79,6 +79,22 @@ def test_field_command(capsys):
     assert payload["op"]["result"] == [1, 1]   # t*t = 1 + t
 
 
+def test_field_op_calls_the_field_method(capsys):
+    from fsg.fields import make_field
+    F = make_field(5)
+    a, b = F.element(2), F.element(4)
+    expected = {"add": F.add(a, b), "sub": F.sub(a, b), "mul": F.mul(a, b),
+                "pow": F.pow(a, 4), "neg": F.neg(a), "inv": F.inv(a)}
+    assert [x.coeffs for x in expected.values()] == [(1,), (3,), (3,), (1,), (3,), (3,)]
+    for op, want in expected.items():
+        payload = run_json(capsys, "field", "--p", "5", "--op", op, "--a", "2", "--b", "4")
+        assert payload["op"]["result"] == list(want.coeffs), op
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--p", "5", "--op", "sqrt", "--a", "2"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_field_bad_prime_exit_2(capsys):
     code, _, err = run(capsys, "field", "--p", "9")
     assert code == 2 and "not prime" in err

@@ -12,7 +12,6 @@ from fsg import fields
 from fsg.errors import DomainMismatchError, ResourceLimitError, ValidationError
 from fsg.fields import (
     element_multiplicative_order,
-    field_arithmetic,
     frobenius_orbit,
     frobenius_order,
     make_field,
@@ -180,18 +179,6 @@ def test_element_order_matches_the_step_walk():
             while x != codes.one:
                 x, k = codes.mul(x, a.code), k + 1
             assert element_multiplicative_order(F, a) == k, (q, a)
-
-
-def test_field_arithmetic_dispatch():
-    F = make_field(5)
-    a, b = F.element(2), F.element(4)
-    assert field_arithmetic(F, "add", a, b) == F.element(1)
-    assert field_arithmetic(F, "mul", a, b) == F.element(3)
-    assert field_arithmetic(F, "neg", a) == F.element(3)
-    assert field_arithmetic(F, "inv", a) == F.element(3)
-    assert field_arithmetic(F, "pow", a, 4) == F.element(1)
-    with pytest.raises(ValidationError):
-        field_arithmetic(F, "sqrt", a)
 
 
 def test_prime_factors():

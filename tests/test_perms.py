@@ -1,6 +1,7 @@
 """Permutation-group engine: chain order vs closure oracle, classes,
 structure queries, transitivity."""
 
+import itertools
 import random
 import sys
 import threading
@@ -243,15 +244,34 @@ def test_cauchy_involution_parity():
             assert 2 not in h
 
 
-def test_random_fusion_classes_agree_with_exhaustive():
-    # the seeded-fusion path used for orders between 1e5 and 1e6 must give
-    # the same census as the exhaustive one; compare on S6 directly
-    from fsg.perms import _conjugation_orbits, _random_elements
-    G = sym(6)
-    ex = sorted(len(c) for c in _conjugation_orbits(G, G.element_list()))
-    fu = sorted(len(c) for c in _conjugation_orbits(G, _random_elements(G)))
-    assert ex == fu
-    assert sum(fu) == 720
+def test_census_seeds_from_the_chain_iterator(monkeypatch):
+    # one walk of the chain's element iterator seeds the census at every
+    # order; the sorted element list is never built, and each block comes
+    # sorted by images with its smallest member, the class rep, first
+    def refuse(self):
+        raise AssertionError("the census built the element list")
+
+    walks = []
+    walk = PermGroup.iter_elements
+
+    def counting_walk(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(PermGroup, "element_list", refuse)
+    monkeypatch.setattr(PermGroup, "iter_elements", counting_walk)
+    for G in (alternating(5), alternating(8)):
+        walks.clear()
+        blocks = perms.full_conjugacy_classes(G)
+        reps = conjugacy_classes(G).reps
+        assert len(walks) == 1 and walks[0] is G
+        for block in blocks:
+            assert [x.images for x in block] == sorted(x.images for x in block)
+        assert all(rep is block[0] for rep, block in zip(reps, blocks, strict=True))
+    # A_9, of order 181,440, is a census above EXHAUSTIVE_CLASS_BOUND
+    sizes = conjugacy_classes(alternating(9)).class_sizes
+    assert sorted(sizes) == [1, 168, 378, 945, 2240, 3024, 3360, 7560, 7560, 9072,
+                             11340, 12096, 12096, 15120, 20160, 20160, 25920, 30240]
 
 
 def test_lagrange_along_chain():
@@ -403,7 +423,6 @@ def test_trusted_path_yields_valid_permutations():
         assert p.degree == degree
         assert Permutation(list(p.images)) == p
 
-    rng = random.Random(7)
     for G in trusted_path_groups():
         n = G.degree
         for lev in G.levels:
@@ -418,7 +437,7 @@ def test_trusted_path_yields_valid_permutations():
                     valid(x, n)
                     assert x in G
         else:
-            elements = [G.random_element(rng) for _ in range(200)]
+            elements = list(itertools.islice(G.iter_elements(), 200))
         for x in elements:
             valid(x, n)
             assert x in G

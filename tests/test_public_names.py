@@ -1,10 +1,12 @@
-"""Every public module-level function and class in src/fsg is used
-somewhere in src/fsg or bench outside its own definition.  A name that
-only its unit tests call is dead code: delete it, or give it a caller."""
+"""Every public module-level function and class in src/fsg, and every
+public method of a class there, is used somewhere in src/fsg or bench
+outside its own definition.  A name that only its unit tests call is dead
+code: delete it, or give it a caller."""
 
 import ast
 import pathlib
 import sys
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "fsg").glob("*.py"))
@@ -24,16 +26,24 @@ def _used_names(node):
 
 def test_every_public_name_has_a_caller():
     uses = {}           # (file, top-level statement index) -> names it uses
-    public = []         # (file, index, name) of public functions and classes
+    public = []         # (file, index, label, name, uses of its own definition)
     for path in FILES:
         for i, stmt in enumerate(ast.parse(path.read_text()).body):
-            uses[path, i] = set(_used_names(stmt))
-            if (path in SOURCES and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                public.append((path, i, stmt.name))
+            uses[path, i] = Counter(_used_names(stmt))
+            if path not in SOURCES or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not stmt.name.startswith("_"):
+                public.append((path, i, stmt.name, stmt.name, uses[path, i]))
+            if isinstance(stmt, ast.ClassDef):
+                public += [(path, i, f"{stmt.name}.{fn.name}", fn.name,
+                            Counter(_used_names(fn)))
+                           for fn in stmt.body if isinstance(fn, ast.FunctionDef)
+                           and not fn.name.startswith("_")]
     assert public                   # the glob found the package
-    dead = [f"{path.name}:{name}" for path, i, name in public
-            if not any(name in names for key, names in uses.items() if key != (path, i))]
+    # a method's class statement counts, less the uses inside the method
+    dead = [f"{path.name}:{label}" for path, i, label, name, own in public
+            if not any(names[name] > (own[name] if key == (path, i) else 0)
+                       for key, names in uses.items())]
     assert dead == []
 
 
