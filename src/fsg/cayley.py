@@ -33,6 +33,16 @@ class CayleyStructure:
         self.identity_index = self.index[tuple(range(group.degree))]
         self.orders = [g.order() for g in self.elements]
 
+    def is_automorphism(self, phi):
+        """Whether the bijection phi of element indices preserves every
+        product: phi(x y) = phi(x) phi(y) for all x and y."""
+        table = self.table
+        for row, frow in zip(table, map(table.__getitem__, phi)):
+            for xy, fy in zip(row, phi):
+                if phi[xy] != frow[fy]:
+                    return False
+        return True
+
     def generator_indices(self):
         return [self.index[g.images] for g in self.group.generators]
 

@@ -12,10 +12,13 @@ multiplication coefficient matrices, stored as sparse columns, are
 simultaneously diagonalized over a prime field F_l with l = 1 (mod m)
 and l > 2*sqrt(|G|) (the standard sufficiency bound for unique
 lifting), and eigenvalues are lifted back to root-of-unity
-multiplicities.  A value on a class whose elements have order o is a
-sum of o-th roots of unity, so its multiplicities come from a length-o
-discrete Fourier sum over the powers g^t, t < o, and sit at the indices
-k*m/o.
+multiplicities.  One row reduction over F_l, `_rref`, serves the whole
+split: each unsplit space is kept in reduced row echelon form, so a
+vector's coordinates in it are its entries at the pivot columns, and a
+kernel is read off the free columns.  A value on a class whose elements
+have order o is a sum of o-th roots of unity, so its multiplicities come
+from a length-o discrete Fourier sum over the powers g^t, t < o, and sit
+at the indices k*m/o.
 
 Table layout: columns (classes) are sorted by (element order, class
 size, smallest member); rows by (degree, then value vectors in
@@ -228,19 +231,20 @@ def _dixon_characters(G, classes, reps, sizes, orders, m):
                 col[j] = col.get(j, 0) + 1
         return cols
 
-    spaces = [[_unit_vector(r, j) for j in range(r)]]
+    # each space is (basis, pivots) in RREF, as the identity basis already is
+    spaces = [([[int(j == k) for k in range(r)] for j in range(r)], list(range(r)))]
     for i in range(1, r):
-        if all(len(s) == 1 for s in spaces):
+        if all(len(b) == 1 for b, _ in spaces):
             break
         mat = class_matrix(i)
         new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
+        for space in spaces:
+            if len(space[0]) == 1:
+                new_spaces.append(space)
                 continue
-            new_spaces.extend(_split_space(basis, mat, ell))
+            new_spaces.extend(_split_space(space, mat, ell))
         spaces = new_spaces
-    if any(len(s) != 1 for s in spaces):
+    if any(len(b) != 1 for b, _ in spaces):
         raise InternalDefectError("class matrices failed to split the algebra")
 
     degrees, rows = [], []
@@ -251,7 +255,7 @@ def _dixon_characters(G, classes, reps, sizes, orders, m):
     # dft[o][k][t] = zeta_o^(-k*t), the Fourier matrix of each class order
     dft = {o: [[zeta_pows[-k * t * (m // o) % m] for t in range(o)]
                for k in range(o)] for o in set(orders)}
-    for basis in spaces:
+    for basis, _ in spaces:
         # Row 0 of every class matrix is the unit vector e_i (x^-1 z_k is the
         # identity only for x = z_k), so the eigenvalue of class i on v is
         # v_i / v_0; v_0 = 0 would make every eigenvalue 0 and fail below.
@@ -280,12 +284,6 @@ def _dixon_characters(G, classes, reps, sizes, orders, m):
         degrees.append(d)
         rows.append(tuple(row))
     return tuple(degrees), tuple(rows)
-
-
-def _unit_vector(r, j):
-    v = [0] * r
-    v[j] = 1
-    return v
 
 
 def _lifting_prime(m, n):
@@ -324,17 +322,17 @@ def _mat_vec(cols, v, ell):
     return [x % ell for x in out]
 
 
-def _split_space(basis, mat, ell):
-    """Split a subspace invariant under mat into eigenspace intersections."""
+def _split_space(space, mat, ell):
+    """Split a subspace invariant under mat into eigenspace intersections.
+    A space is (basis, pivots) in reduced row echelon form, so a vector w in
+    its span is the sum of w[p_j] * b_j: its coordinates sit at the pivots."""
+    basis, pivots = space
     d = len(basis)
-    r = len(basis[0])
     images = [_mat_vec(mat, b, ell) for b in basis]
-    coords = _express_in_basis(images, basis, ell)
-    if coords is None:
+    if any(_combine([w[p] for p in pivots], basis, ell) != w for w in images):
         raise InternalDefectError("class matrix does not preserve the subspace")
-    # restricted action: column vectors; restricted[j][k] = coefficient of
-    # basis j in the image of basis k
-    restricted = [[coords[k][j] for k in range(d)] for j in range(d)]
+    # restricted action: restricted[j][k] = coordinate j of the image of b_k
+    restricted = [[w[p] for w in images] for p in pivots]
     poly = _charpoly(restricted, ell)
     out = []
     for lam in range(ell):
@@ -344,53 +342,39 @@ def _split_space(basis, mat, ell):
                     for k in range(d)] for j in range(d)]
         kernel = _nullspace(shifted, ell)
         if kernel:
-            vectors = []
-            for coeffs in kernel:
-                vec = [0] * r
-                for c, b in zip(coeffs, basis):
-                    if c:
-                        for t in range(r):
-                            vec[t] = (vec[t] + c * b[t]) % ell
-                vectors.append(vec)
-            out.append(vectors)
-    if sum(len(v) for v in out) != d:
+            out.append(_rref([_combine(c, basis, ell) for c in kernel], ell))
+    if sum(len(v) for v, _ in out) != d:
         raise InternalDefectError("eigenspace dimensions do not add up")
     return out
 
 
-def _express_in_basis(vectors, basis, ell):
-    """Coordinates of each vector in the given independent basis, or None."""
-    d, r = len(basis), len(basis[0])
-    rows = [list(b) + _unit_vector(d, i) for i, b in enumerate(basis)]
-    # row reduce [basis | I] to express later
+def _combine(coeffs, basis, ell):
+    """sum_j coeffs[j] * basis[j] over F_ell, skipping zero coefficients."""
+    vec = [0] * len(basis[0])
+    for c, b in zip(coeffs, basis):
+        if c:
+            vec = [x + c * y for x, y in zip(vec, b)]
+    return [x % ell for x in vec]
+
+
+def _rref(rows, ell):
+    """Reduced row echelon form over F_ell: (the nonzero rows, their pivot
+    columns).  Entries must already be residues in [0, ell)."""
+    rows = [list(row) for row in rows]
     pivots = []
-    for i in range(d):
-        col = next((c for c in range(r) if rows[i][c] % ell), None)
-        if col is None:
-            return None
-        inv = pow(rows[i][col], ell - 2, ell)
-        rows[i] = [x * inv % ell for x in rows[i]]
-        for i2 in range(d):
-            if i2 != i and rows[i2][col] % ell:
-                f = rows[i2][col]
-                rows[i2] = [(a - f * b) % ell for a, b in zip(rows[i2], rows[i])]
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        piv = next((rw for rw in range(rank, len(rows)) if rows[rw][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], ell - 2, ell)
+        top = rows[rank] = [x * inv % ell for x in rows[rank]]
+        for rw, row in enumerate(rows):
+            if rw != rank and (f := row[col]):
+                rows[rw] = [(a - f * b) % ell for a, b in zip(row, top)]
         pivots.append(col)
-    out = []
-    for v in vectors:
-        v = list(v)
-        coords = [0] * d
-        for i, col in enumerate(pivots):
-            f = v[col] % ell
-            if f:
-                coords_part = rows[i]
-                for t in range(r):
-                    v[t] = (v[t] - f * coords_part[t]) % ell
-                for t in range(d):
-                    coords[t] = (coords[t] + f * coords_part[r + t]) % ell
-        if any(x % ell for x in v):
-            return None
-        out.append(coords)
-    return out
+    return rows[:len(pivots)], pivots
 
 
 def _charpoly(mat, ell):
@@ -439,30 +423,14 @@ def _poly_eval(poly, x, ell):
 
 
 def _nullspace(mat, ell):
-    """Basis of the kernel of mat over F_ell."""
-    d = len(mat)
-    rows = [row[:] for row in mat]
-    pivots = {}
-    rank = 0
-    for col in range(d):
-        piv = next((rw for rw in range(rank, d) if rows[rw][col] % ell), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], ell - 2, ell)
-        rows[rank] = [x * inv % ell for x in rows[rank]]
-        for rw in range(d):
-            if rw != rank and rows[rw][col] % ell:
-                f = rows[rw][col]
-                rows[rw] = [(a - f * b) % ell for a, b in zip(rows[rw], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(d) if c not in pivots]
+    """Basis of the kernel of mat over F_ell, one vector per free column of
+    its reduced row echelon form."""
+    rows, pivots = _rref(mat, ell)
     out = []
-    for fc in free:
-        v = [0] * d
+    for fc in sorted(set(range(len(mat))) - set(pivots)):
+        v = [0] * len(mat)
         v[fc] = 1
-        for col, rw in pivots.items():
-            v[col] = (-rows[rw][fc]) % ell
+        for row, col in zip(rows, pivots):
+            v[col] = -row[fc] % ell
         out.append(v)
     return out

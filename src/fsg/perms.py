@@ -46,6 +46,8 @@ ENUMERATION_BOUND = 10 ** 6
 # the bench's cut for groups whose class census it times.
 EXHAUSTIVE_CLASS_BOUND = 10 ** 5
 PARSE_DEGREE_BOUND = 10 ** 5
+# Transversal images a chain may store, degree x non-base orbit points: ~80 MB.
+CHAIN_IMAGE_BOUND = 10 ** 7
 
 
 def _check_enumerable(n):
@@ -55,6 +57,13 @@ def _check_enumerable(n):
     if n > bound:
         raise ResourceLimitError(f"group order {n} exceeds the element-enumeration "
                                  f"bound {bound} (setting FSG_ENUMERATION_BOUND)")
+
+
+def check_chain_images(images, degree):
+    """Refuse a chain on degree points storing more than CHAIN_IMAGE_BOUND images."""
+    if images > CHAIN_IMAGE_BOUND:
+        raise ResourceLimitError(f"a stabilizer chain on {degree} points would store more "
+                                 f"than the fixed bound of {CHAIN_IMAGE_BOUND} transversal images")
 
 
 def _invert(images):
@@ -256,6 +265,7 @@ class PermGroup:
         self._identity = tuple(range(self.degree))
         self._element_list = None
         self._classes = None
+        self._images = 0          # transversal images stored, against CHAIN_IMAGE_BOUND
         self._build_chain()
         self._order = prod(self.basic_orbit_sizes())
 
@@ -284,8 +294,8 @@ class PermGroup:
         return j
 
     def _extend_orbit(self, i):
-        """Grow level i's orbit in place; existing entries persist.  A new
-        point y = s(p) gets u_y^-1 = u_p^-1 s^-1."""
+        """Grow level i's orbit in place; existing entries persist.  A new point
+        y = s(p) gets u_y^-1 = u_p^-1 s^-1, counted against the bound first."""
         inv = self.levels[i].inv
         gens = self._gens_at(i)
         queue = list(inv)
@@ -294,6 +304,8 @@ class PermGroup:
             for s, s_inv in gens:
                 y = s[p]
                 if y not in inv:
+                    self._images += self.degree
+                    check_chain_images(self._images, self.degree)
                     inv[y] = tuple(map(up_inv, s_inv))
                     queue.append(y)
 

@@ -19,7 +19,7 @@ from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import factorize, is_prime, make_field, prime_power
 from .matgroups import projective_action
 from .perms import (PARSE_DEGREE_BOUND, PermGroup, Permutation, center_order,
-                    group_from_generators)
+                    check_chain_images, group_from_generators)
 
 
 def _certify(G, expected_order, what):
@@ -30,8 +30,9 @@ def _certify(G, expected_order, what):
 
 
 def _regular_from_table(elements, mult, gens, expected_order, what):
-    """Left-regular permutation realization of an abstract group given by a
-    multiplication rule on hashable element labels."""
+    """Left-regular realization of an abstract group given by a multiplication
+    rule on hashable labels; its one-level chain is bounded up front."""
+    check_chain_images((len(elements) - 1) * len(elements), len(elements))
     index = {e: i for i, e in enumerate(elements)}
     perms = [Permutation(index[mult(g, x)] for x in elements) for g in gens]
     G = group_from_generators(len(elements), perms)
@@ -46,6 +47,7 @@ def cyclic(n):
         raise ValidationError("cyclic groups need n >= 1")
     if n == 1:
         return group_from_generators(1, [])
+    check_chain_images((n - 1) * n, n)      # regular: one level, every point
     return _certify(group_from_generators(
         n, [Permutation.from_cycles(n, [tuple(range(n))])]), n, f"cyclic({n})")
 
@@ -270,12 +272,8 @@ class ActionMap:
         for phi in self.assignment:
             if sorted(phi) != list(range(A.n)):
                 raise ValidationError("assigned map is not a bijection on the target")
-            for x in range(A.n):
-                for y in range(A.n):
-                    if phi[A.table[x][y]] != A.table[phi[x]][phi[y]]:
-                        raise ValidationError(
-                            "assigned map is not an automorphism: it breaks the "
-                            f"product of elements {x} and {y}")
+            if not A.is_automorphism(phi):
+                raise ValidationError("assigned map is not an automorphism of the target")
 
 
 def trivial_action(A, B):
@@ -378,15 +376,8 @@ def automorphism_perms(G):
         if len(mapping) != cs.n:
             return None
         phi = [mapping[i] for i in range(cs.n)]
-        if sorted(phi) != list(range(cs.n)):
+        if sorted(phi) != list(range(cs.n)) or not cs.is_automorphism(phi):
             return None
-        for x in range(cs.n):
-            row = cs.table[x]
-            fx = phi[x]
-            frow = cs.table[fx]
-            for y in range(cs.n):
-                if phi[row[y]] != frow[phi[y]]:
-                    return None
         return tuple(phi)
 
     def backtrack(k, images):

@@ -2,12 +2,14 @@
 
 import pytest
 
+from fsg import characters
 from fsg.characters import (
+    _split_space,
     character_table,
     cyclotomic_polynomial,
     reduce_root_vector,
 )
-from fsg.errors import ResourceLimitError
+from fsg.errors import InternalDefectError, ResourceLimitError
 from fsg.perms import structure_report
 from fsg.zoo import (
     alternating,
@@ -160,6 +162,31 @@ def test_dicyclic_table_with_irrational_values():
     ints = t.as_integer_matrix()
     assert any(v is None for row in ints for v in row)
     assert t.check_column_orthogonality()
+
+
+def test_split_refuses_a_matrix_that_leaves_the_space():
+    # the class matrix sends e_0 to e_1, outside the span of e_0
+    with pytest.raises(InternalDefectError, match="does not preserve"):
+        _split_space(([[1, 0]], [0]), [{1: 1}, {}], 7)
+
+
+def test_split_spaces_are_in_reduced_echelon_form(monkeypatch):
+    spaces = []
+
+    def recording(space, mat, ell):
+        out = _split_space(space, mat, ell)
+        spaces.extend(out)
+        return out
+
+    monkeypatch.setattr(characters, "_split_space", recording)
+    for G in (symmetric(4), quaternion(), cyclic(12)):
+        character_table(G)
+    assert spaces
+    for basis, pivots in spaces:
+        assert pivots == sorted(pivots) and len(pivots) == len(basis)
+        assert [[row[p] for p in pivots] for row in basis] == \
+            [[int(j == k) for k in range(len(basis))] for j in range(len(basis))]
+        assert all(not any(row[:p]) for row, p in zip(basis, pivots))
 
 
 def test_character_bound():

@@ -314,6 +314,8 @@ BOUND_ARGV = [
     (["moonshine", "--cube-root", "1001"], "fixed"),
     (["leech", "--theta-terms", "1001"], "fixed"),
     (["group", "--name", "sym", "--n", "100001"], "fixed"),     # named-group degree
+    (["group", "--name", "cyclic", "--n", "100000"], "fixed"),  # chain images
+    (["group", "--name", "clifford", "--n", "15"], "fixed"),    # chain images, up front
     (["algebra", "--probe", "O", "--samples", "1001"], "fixed"),
 ]
 
@@ -322,6 +324,16 @@ BOUND_ARGV = [
 def test_every_refusal_names_its_setting_or_says_fixed(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and names in err, err
+
+
+def test_chain_image_bound_refuses_in_bounded_time(capsys):
+    # a 100,000-cycle used not to finish in 60 s, and clifford(15) ran out
+    # of memory with exit 70
+    for n, name in ((100000, "cyclic"), (15, "clifford")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "group", "--name", name, "--n", str(n))
+        assert code == 3 and "fixed" in err
+        assert time.perf_counter() - start < 2
 
 
 def test_enumeration_setting_caps_character_tables(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from fsg import perms
 from fsg.characters import character_table
-from fsg.errors import DomainMismatchError, ValidationError
+from fsg.errors import DomainMismatchError, ResourceLimitError, ValidationError
 from fsg.fields import make_field
 from fsg.matgroups import projective_action
 from fsg.perms import (
@@ -467,6 +467,18 @@ def test_chain_stores_one_pointer_per_transversal_image():
         tracemalloc.stop()
     assert G.order() == n
     assert retained < 12 * sum(G.basic_orbit_sizes()) * n
+
+
+def test_chain_refuses_past_the_image_bound(monkeypatch):
+    # the chain stores degree images per orbit point past each base point:
+    # (n - 1) * n for an n-cycle, n * n(n - 1)/2 for S_n
+    assert sym(6)._images == 6 * 15 and cyclic(30)._images == 29 * 30
+    monkeypatch.setattr(perms, "CHAIN_IMAGE_BOUND", 29 * 30)
+    assert cyclic(30).order() == 30
+    for build in (lambda: cyclic(31), lambda: PermGroup(31, [cyc(31, tuple(range(31)))]),
+                  lambda: sym(13)):
+        with pytest.raises(ResourceLimitError, match="fixed bound of 870"):
+            build()
 
 
 def test_public_entry_points_still_validate():

@@ -1,7 +1,8 @@
-"""Every public module-level function and class in src/fsg, and every
-public method of a class there, is used somewhere in src/fsg or bench
-outside its own definition.  A name that only its unit tests call is dead
-code: delete it, or give it a caller."""
+"""Every public module-level function and class in src/fsg, every private
+module-level function there (dunders aside), and every public method of a
+class there, is used somewhere in src/fsg or bench outside its own
+definition.  A name that only its unit tests call is dead code: delete it,
+or give it a caller."""
 
 import ast
 import pathlib
@@ -32,7 +33,8 @@ def test_every_public_name_has_a_caller():
             uses[path, i] = Counter(_used_names(stmt))
             if path not in SOURCES or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not stmt.name.startswith("_"):
+            if not stmt.name.startswith("_") or (isinstance(stmt, ast.FunctionDef)
+                                                 and not stmt.name.startswith("__")):
                 public.append((path, i, stmt.name, stmt.name, uses[path, i]))
             if isinstance(stmt, ast.ClassDef):
                 public += [(path, i, f"{stmt.name}.{fn.name}", fn.name,
