@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, repeat
-from math import gcd, isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import is_prime, prime_factors
-from .perms import PermGroup, full_conjugacy_classes
+from .perms import PermGroup, class_census
 
 CHARACTER_BOUND = 200
 LIFTING_PRIME_CAP = 10 ** 6
@@ -142,12 +142,6 @@ class CharacterTable:
         }
 
 
-def _sorted_classes(G):
-    """The group's cached classes, re-sorted into a new list in column order."""
-    return sorted(full_conjugacy_classes(G),
-                  key=lambda b: (b[0].order(), len(b), b[0].images))
-
-
 def _row_sort(degrees, rows, m):
     def key(pair):
         d, row = pair
@@ -162,14 +156,15 @@ def character_table(G: PermGroup) -> CharacterTable:
     if n > CHARACTER_BOUND:
         raise ResourceLimitError(f"character tables are limited to the fixed bound "
                                  f"of order {CHARACTER_BOUND}; group has {n}")
-    classes = _sorted_classes(G)
-    reps = [block[0] for block in classes]
-    sizes = tuple(len(b) for b in classes)
+    class_of, census_reps, census_sizes = class_census(G)
+    cols = sorted(range(len(census_reps)), key=lambda c: (
+        census_reps[c].order(), census_sizes[c], census_reps[c].images))
+    reps = [census_reps[c] for c in cols]
+    sizes = tuple(census_sizes[c] for c in cols)
     rep_orders = tuple(r.order() for r in reps)
-    m = 1
-    for o in rep_orders:
-        m = m * o // gcd(m, o)
-    degrees, rows = _dixon_characters(G, classes, reps, sizes, rep_orders, m)
+    m = lcm(*rep_orders)
+    column = {c: k for k, c in enumerate(cols)}
+    degrees, rows = _dixon_characters(G, class_of, column, reps, sizes, rep_orders, m)
     degrees, rows = _row_sort(degrees, rows, m)
     table = CharacterTable(
         degrees=degrees,
@@ -205,29 +200,28 @@ def _verify_table(t: CharacterTable):
 # ------------------------------------------------------------------- dixon
 
 
-def _dixon_characters(G, classes, reps, sizes, orders, m):
+def _dixon_characters(G, class_of, column, reps, sizes, orders, m):
+    """The irreducible characters; class_of is the census map and
+    column[class_of[x]] the table column of the class of x."""
     n = G.order()
-    r = len(classes)
+    r = len(reps)
     ell = _lifting_prime(m, n)
-    class_of = {}
-    for ci, block in enumerate(classes):
-        for g in block:
-            class_of[g.images] = ci
-
-    inv_class = [class_of[rep.inverse().images] for rep in reps]
-    power_class = [[class_of[p.images]
+    inv_class = [column[class_of[rep.inverse().images]] for rep in reps]
+    power_class = [[column[class_of[p.images]]
                     for p in accumulate(repeat(rep, o - 1), mul, initial=rep ** 0)]
                    for rep, o in zip(reps, orders)]
     rep_images = [rep.images for rep in reps]
 
     def class_matrix(i):
         """Class multiplication coefficients a_ijk, with fixed target rep z_k,
-        as sparse columns: entry k is {j: a_ijk} over the nonzero a_ijk."""
+        as sparse columns: entry k is {j: a_ijk} over the nonzero a_ijk.
+        As x runs over class i, y = x^-1 runs over class inv_class[i]."""
         cols = [{} for _ in range(r)]
-        for x in classes[i]:
-            x_inv = x.inverse().images.__getitem__
+        for y, c in class_of.items():
+            if column[c] != inv_class[i]:
+                continue
             for col, zk in zip(cols, rep_images):
-                j = class_of[tuple(map(x_inv, zk))]
+                j = column[class_of[tuple(map(y.__getitem__, zk))]]
                 col[j] = col.get(j, 0) + 1
         return cols
 

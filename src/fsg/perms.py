@@ -5,7 +5,8 @@ built at construction with a deterministic Schreier-Sims procedure
 (explicit transversals, no randomization), so order, membership and the
 structural queries below are reproducible run to run.  Each level keeps
 one inverse transversal, orbit point p -> image tuple of u_p^-1, the form
-the sift reads; its tuples share one identity tuple's ints.
+the sift reads; its tuples share one identity tuple's ints.  Each level
+also lists every strong generator that fixes the earlier base points.
 
 Orders are exact big integers: the order is the product of the
 fundamental orbit lengths along the chain.
@@ -15,7 +16,7 @@ A permutation is validated where it enters: `Permutation(...)`,
 `PermGroup` each check that the images form a bijection.  A composite of
 validated permutations of one degree is a bijection by construction, so
 products, inverses, powers, sift residues, chain elements and
-class-census members are wrapped unchecked by the private
+class-census representatives are wrapped unchecked by the private
 `Permutation._trusted`; `__mul__` still refuses a degree mismatch.  The
 closure oracle `closure_order` alone re-validates every product it
 forms, so that it stays independent of this reasoning.
@@ -24,10 +25,12 @@ Structural queries that need every element (conjugacy classes, center,
 element-order histograms) are guarded by the enumeration bound and raise
 ResourceLimitError beyond it.  The class census seeds its conjugation
 orbits from the chain's own element iterator, stops once the classes
-cover |G|, and sorts each block by images; it draws nothing at random.
+cover |G|, and draws nothing at random.  It keeps one map, image tuple
+-> class index, and per class its smallest member and its size; the
+members themselves are never wrapped.
 
 Groups are immutable once built.  The element list and the class
-partition are filled on first use and kept on the group; threads that
+census are filled on first use and kept on the group; threads that
 race on the first use each compute the same value and one is kept, so
 distinct threads may share a group freely.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, prod
+from math import lcm, prod
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
@@ -211,10 +214,7 @@ class Permutation:
 
     def order(self):
         """Smallest m with p^m = identity: the lcm of the cycle lengths."""
-        m = 1
-        for cyc in self.cycles():
-            m = m * len(cyc) // gcd(m, len(cyc))
-        return m
+        return lcm(*map(len, self.cycles()))
 
     def cycle_string(self):
         cycs = self.cycles()
@@ -233,9 +233,9 @@ class Permutation:
 
 
 class _Level:
-    """One chain level: base point, own strong generators as (images,
-    inverse images), and inv: orbit point p -> images of u_p^-1, in
-    discovery order."""
+    """One chain level: base point; gens, every strong generator fixing the
+    earlier base points, as (images, inverse images); and inv: orbit point
+    p -> images of u_p^-1, in discovery order."""
 
     __slots__ = ("base", "gens", "inv", "checked")
 
@@ -264,44 +264,44 @@ class PermGroup:
         self.levels = []
         self._identity = tuple(range(self.degree))
         self._element_list = None
-        self._classes = None
+        self._census = None
         self._images = 0          # transversal images stored, against CHAIN_IMAGE_BOUND
         self._build_chain()
         self._order = prod(self.basic_orbit_sizes())
 
     # ------------------------------------------------------------------ chain
 
-    def _gens_at(self, i):
-        out = []
-        for lev in self.levels[i:]:
-            out.extend(lev.gens)
-        return out
-
     def _register(self, h):
-        """Place a non-identity strong generator (images h) at its level;
-        extend orbits.  An h fixing every base point opens a level at its
+        """Add a non-identity strong generator (images h) to levels 0..j, j
+        that of the first base point it moves, ahead of level j + 1's gens,
+        so each level lists gens by the level they were registered at; extend
+        those orbits.  An h fixing every base point opens a level at its
         least moved point."""
         for j, lev in enumerate(self.levels):
             if h[lev.base] != lev.base:
                 break
         else:
             j = len(self.levels)
-            lev = _Level(min(i for i, x in enumerate(h) if i != x), self._identity)
-            self.levels.append(lev)
-        lev.gens.append((h, _invert(h)))
-        for l in range(j + 1):
-            self._extend_orbit(l)
+            self.levels.append(_Level(min(i for i, x in enumerate(h) if i != x),
+                                      self._identity))
+        pair = (h, _invert(h))
+        deeper = len(self.levels[j + 1].gens) if j + 1 < len(self.levels) else 0
+        for lev in self.levels[:j + 1]:
+            lev.gens.insert(len(lev.gens) - deeper, pair)
+            self._extend_orbit(lev, pair)
         return j
 
-    def _extend_orbit(self, i):
-        """Grow level i's orbit in place; existing entries persist.  A new point
-        y = s(p) gets u_y^-1 = u_p^-1 s^-1, counted against the bound first."""
-        inv = self.levels[i].inv
-        gens = self._gens_at(i)
+    def _extend_orbit(self, lev, pair):
+        """Grow lev's orbit, already closed under its other gens, by the new
+        pair in lev.gens: the new generator on the old points, every generator
+        on each new point.  Existing entries persist.  A new point y = s(p) gets
+        u_y^-1 = u_p^-1 s^-1, counted against the bound first."""
+        inv = lev.inv
         queue = list(inv)
-        for p in queue:
+        old = len(queue)
+        for k, p in enumerate(queue):
             up_inv = inv[p].__getitem__
-            for s, s_inv in gens:
+            for s, s_inv in ([pair] if k < old else lev.gens):
                 y = s[p]
                 if y not in inv:
                     self._images += self.degree
@@ -331,7 +331,7 @@ class PermGroup:
             restart = False
             for p in list(lev.inv):
                 up = None               # u_p, inverted only for an unchecked pair
-                for s, _ in self._gens_at(i):
+                for s, _ in lev.gens:
                     key = (p, s)
                     if key in lev.checked:
                         continue
@@ -490,64 +490,44 @@ class ClassData:
         }
 
 
-def _conjugation_orbits(G, seeds):
-    """The class census: conjugation orbits of the seeds, in seed order,
-    stopping once the class sizes sum to |G|.  Conjugates are composed as
-    image tuples, s x s^-1 in one pass; each block is sorted by images, so
-    block[0] is its smallest member whatever the seed order, and each
-    member is wrapped as a Permutation once, at the end."""
-    known = set()
-    classes = []
-    total = 0
-    order = G.order()
+def class_census(G: PermGroup):
+    """G's class census, run once and kept on G: (class_of, reps, sizes),
+    image tuple -> class index in seed order (identity first), and per class
+    its smallest member, the only one wrapped, and its size.  Conjugates are
+    composed as image tuples, s x s^-1 in one pass."""
+    if G._census is not None:
+        return G._census
+    _check_enumerable(G.order())
+    class_of, reps, sizes = {}, [], []
     gen_pairs = [(g.images.__getitem__, g.inverse().images) for g in G.generators]
-    for g in seeds:
-        if total == order:
+    for g in G.iter_elements():
+        if len(class_of) == G.order():
             break
-        if g.images in known:
+        if g.images in class_of:
             continue
         block = [g.images]
-        known.add(g.images)
+        class_of[g.images] = len(reps)
         for x in block:
             for s, s_inv in gen_pairs:
                 y = tuple(map(s, map(x.__getitem__, s_inv)))
-                if y not in known:
-                    known.add(y)
+                if y not in class_of:
+                    class_of[y] = len(reps)
                     block.append(y)
-        classes.append([Permutation._trusted(x) for x in sorted(block)])
-        total += len(block)
-    return classes
-
-
-def full_conjugacy_classes(G: PermGroup):
-    """All classes as element lists, canonically sorted (see ClassData),
-    each block sorted by images.
-
-    At every order under the enumeration bound the seeds are the chain's
-    own element iterator, identity first; the census stops once the
-    classes cover |G| and draws nothing at random.  It runs once per
-    group; the sorted tuple of blocks is kept on G, and callers that want
-    another order sort a copy."""
-    if G._classes is not None:
-        return G._classes
-    n = G.order()
-    _check_enumerable(n)
-    classes = _conjugation_orbits(G, G.iter_elements())
-    if sum(len(c) for c in classes) != n:
+        reps.append(Permutation._trusted(min(block)))
+        sizes.append(len(block))
+    if len(class_of) != G.order():
         raise AssertionError("class sizes do not sum to the group order")
-    G._classes = tuple(sorted(classes, key=lambda b: (
-        b[0].order(), len(b[0].moved_points()), len(b), b[0].images)))
-    return G._classes
+    G._census = class_of, reps, sizes
+    return G._census
 
 
 def conjugacy_classes(G: PermGroup) -> ClassData:
-    classes = full_conjugacy_classes(G)
-    reps = tuple(block[0] for block in classes)
-    sizes = tuple(len(block) for block in classes)
-    orders = tuple(rep.order() for rep in reps)
+    _, reps, sizes = class_census(G)
+    reps, sizes = zip(*sorted(zip(reps, sizes), key=lambda c: (
+        c[0].order(), len(c[0].moved_points()), c[1], c[0].images)))
     return ClassData(
         class_sizes=sizes,
-        class_rep_orders=orders,
+        class_rep_orders=tuple(rep.order() for rep in reps),
         center_size=sum(1 for s in sizes if s == 1),
         num_classes=len(sizes),
         reps=reps,
@@ -608,9 +588,10 @@ def element_order_histogram(G: PermGroup):
     Read off the class census when G has one cached (conjugates share an
     order); otherwise enumerate G, which costs about half a census."""
     hist = Counter()
-    if G._classes is not None:
-        for block in G._classes:
-            hist[block[0].order()] += len(block)
+    if G._census is not None:
+        _, reps, sizes = G._census
+        for rep, size in zip(reps, sizes):
+            hist[rep.order()] += size
         return dict(hist)
     _check_enumerable(G.order())
     for g in G.iter_elements():

@@ -8,7 +8,8 @@ from math import factorial, log10
 
 import pytest
 
-from fsg.errors import ResourceLimitError, ValidationError
+from fsg import matgroups
+from fsg.errors import InternalDefectError, ResourceLimitError, ValidationError
 from fsg.fields import make_field, prime_power
 from fsg.matgroups import (
     CENSUS_FAMILIES,
@@ -175,6 +176,14 @@ def test_projective_actions():
 
     g = projective_action("PSL", 2, make_field(2, 3))
     assert g.order() == 504 and is_simple(g)
+
+
+def test_projective_action_certifies_its_generators(monkeypatch):
+    # with g = 1 the transvections only reach SL_2(2) inside SL_2(4); the
+    # order certificate must refuse, not return a smaller group
+    monkeypatch.setattr(matgroups, "multiplicative_generator", lambda spec: spec.one())
+    with pytest.raises(InternalDefectError, match="generated order 6, expected 60"):
+        projective_action("PSL", 2, make_field(2, 2))
 
 
 def test_projective_point_count():

@@ -26,8 +26,8 @@ from fsg.perms import (
     structure_report,
     transitivity_degree,
 )
-from fsg.zoo import (alternating, cyclic, dihedral, frobenius21, holomorph, quaternion,
-                     symmetric, vierergruppe)
+from fsg.zoo import (alternating, cyclic, dihedral, elementary_abelian, frobenius21,
+                     holomorph, quaternion, symmetric, vierergruppe)
 
 
 def cyc(n, *cycles):
@@ -246,8 +246,8 @@ def test_cauchy_involution_parity():
 
 def test_census_seeds_from_the_chain_iterator(monkeypatch):
     # one walk of the chain's element iterator seeds the census at every
-    # order; the sorted element list is never built, and each block comes
-    # sorted by images with its smallest member, the class rep, first
+    # order; the sorted element list is never built, and each class rep is
+    # the smallest image tuple that the census map sends to its class
     def refuse(self):
         raise AssertionError("the census built the element list")
 
@@ -262,12 +262,15 @@ def test_census_seeds_from_the_chain_iterator(monkeypatch):
     monkeypatch.setattr(PermGroup, "iter_elements", counting_walk)
     for G in (alternating(5), alternating(8)):
         walks.clear()
-        blocks = perms.full_conjugacy_classes(G)
-        reps = conjugacy_classes(G).reps
+        class_of, reps, sizes = perms.class_census(G)
+        data = conjugacy_classes(G)
         assert len(walks) == 1 and walks[0] is G
-        for block in blocks:
-            assert [x.images for x in block] == sorted(x.images for x in block)
-        assert all(rep is block[0] for rep, block in zip(reps, blocks, strict=True))
+        members = [[] for _ in reps]
+        for x, c in class_of.items():
+            members[c].append(x)
+        assert [rep.images for rep in reps] == [min(m) for m in members]
+        assert sizes == [len(m) for m in members]
+        assert sorted(map(id, data.reps)) == sorted(map(id, reps))
     # A_9, of order 181,440, is a census above EXHAUSTIVE_CLASS_BOUND
     sizes = conjugacy_classes(alternating(9)).class_sizes
     assert sorted(sizes) == [1, 168, 378, 945, 2240, 3024, 3360, 7560, 7560, 9072,
@@ -356,25 +359,27 @@ def test_transitivity_degree_matches_tuple_orbits(monkeypatch):
 
 @pytest.mark.parametrize("build, n", [(symmetric, 4), (dihedral, 6), (alternating, 5)])
 def test_one_class_census_per_group(monkeypatch, build, n):
+    # the census is the only walk of G's elements here, so one walk is
+    # one census
     G = build(n)
     runs = []
-    census = perms._conjugation_orbits
+    walk = PermGroup.iter_elements
 
-    def counting_census(*args):
-        runs.append(args)
-        return census(*args)
+    def counting_walk(self):
+        runs.append(self)
+        return walk(self)
 
-    monkeypatch.setattr(perms, "_conjugation_orbits", counting_census)
+    monkeypatch.setattr(PermGroup, "iter_elements", counting_walk)
     data = conjugacy_classes(G)
-    blocks = perms.full_conjugacy_classes(G)
-    snapshot = [list(b) for b in blocks]
+    census = perms.class_census(G)
+    snapshot = [dict(census[0]), list(census[1]), list(census[2])]
     simple = is_simple(G)
     center = perms.center_order(G)
     report = structure_report(G)
     table = character_table(G)
     assert len(runs) == 1
-    assert perms.full_conjugacy_classes(G) is blocks
-    assert [list(b) for b in blocks] == snapshot      # the table sorted a copy
+    assert perms.class_census(G) is census
+    assert [dict(census[0]), list(census[1]), list(census[2])] == snapshot
     assert simple == (build is alternating)
     assert report[0] == center == data.center_size
     assert sorted(table.class_sizes) == sorted(data.class_sizes)
@@ -416,8 +421,8 @@ def trusted_path_groups():
 
 
 def test_trusted_path_yields_valid_permutations():
-    """Products, inverses, powers, chain entries, elements and class members
-    are built unchecked; each must still be a bijection of the group's
+    """Products, inverses, powers, chain entries, elements and the census's
+    class map keys and reps are built unchecked; each must still be a bijection of the group's
     degree, equal to itself re-validated, and the composite it names."""
     def valid(p, degree):
         assert p.degree == degree
@@ -432,10 +437,11 @@ def test_trusted_path_yields_valid_permutations():
         if G.order() <= 5040:
             elements = list(G.iter_elements())
             assert len(set(elements)) == G.order()
-            for block in perms.full_conjugacy_classes(G):
-                for x in block:
-                    valid(x, n)
-                    assert x in G
+            class_of, reps, _ = perms.class_census(G)
+            assert len(class_of) == G.order()
+            for x in [Permutation._trusted(x) for x in class_of] + reps:
+                valid(x, n)
+                assert x in G
         else:
             elements = list(itertools.islice(G.iter_elements(), 200))
         for x in elements:
@@ -450,6 +456,25 @@ def test_trusted_path_yields_valid_permutations():
                 valid(x ** k, n)
             assert (x ** x.order()).is_identity()
             valid(G.sift(x), n)
+
+
+def test_each_level_lists_the_strong_generators_fixing_earlier_bases():
+    # a level's gens are exactly the registered strong generators that fix
+    # every earlier base point, listed by the level each was registered at
+    # (that of the first base point it moves), and its orbit is closed
+    # under them
+    for G in trusted_path_groups() + [elementary_abelian(2, 30)]:
+        strong = {h: h_inv for lev in G.levels for h, h_inv in lev.gens}
+        bases = [lev.base for lev in G.levels]
+        first_moved = {h: next(i for i, b in enumerate(bases) if h[b] != b) for h in strong}
+        for i, lev in enumerate(G.levels):
+            assert sorted(h for h, _ in lev.gens) == sorted(
+                h for h in strong if first_moved[h] >= i)
+            levels = [first_moved[h] for h, _ in lev.gens]
+            assert levels == sorted(levels)
+            for h, h_inv in lev.gens:
+                assert h_inv == tuple(sorted(range(G.degree), key=h.__getitem__))
+                assert all(h[p] in lev.inv for p in lev.inv)
 
 
 def test_chain_stores_one_pointer_per_transversal_image():
