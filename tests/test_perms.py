@@ -421,9 +421,10 @@ def trusted_path_groups():
 
 
 def test_trusted_path_yields_valid_permutations():
-    """Products, inverses, powers, chain entries, elements and the census's
-    class map keys and reps are built unchecked; each must still be a bijection of the group's
-    degree, equal to itself re-validated, and the composite it names."""
+    """Products, inverses, powers, chain entries, elements, and the keys
+    and reps of the class census are built unchecked; each must still be a
+    bijection of the group's degree, equal to itself re-validated, and the
+    composite it names."""
     def valid(p, degree):
         assert p.degree == degree
         assert Permutation(list(p.images)) == p
