@@ -1,15 +1,22 @@
-"""Permutations and permutation groups with a deterministic stabilizer chain.
+"""Permutations and permutation groups with an exact stabilizer chain.
 
 A group is entered by generators; a base and strong generating set are
-built at construction with a deterministic Schreier-Sims procedure
-(explicit transversals, no randomization), so order, membership and the
-structural queries below are reproducible run to run.  Each level keeps
-one inverse transversal, orbit point p -> image tuple of u_p^-1, the form
-the sift reads; its tuples share one identity tuple's ints.  Each level
-also lists every strong generator that fixes the earlier base points.
+built at construction by Schreier-Sims with explicit transversals.  Each
+level keeps one inverse transversal, orbit point p -> image tuple of
+u_p^-1, the form the sift reads; its tuples share one identity tuple's
+ints.  Each level also lists every strong generator that fixes the
+earlier base points.
 
 Orders are exact big integers: the order is the product of the
 fundamental orbit lengths along the chain.
+
+Seeded draws, all from one fixed-seed stream, enter in two places, and
+neither can change a result.  The chain build sifts product-replacement
+draws until the basic orbits multiply to a proven bound on the order,
+which proves the chain complete, and runs the deterministic Schreier
+pass if the draws stall; the draws decide only the speed, the base, the
+strong generators and the order of `iter_elements`.  The class census
+may conjugate by a seeded pair that provably generates G (below).
 
 A permutation is validated where it enters: `Permutation(...)`,
 `Permutation.parse`, `Permutation.from_cycles` and the generators of a
@@ -24,10 +31,12 @@ forms, so that it stays independent of this reasoning.
 Structural queries that need every element (conjugacy classes, center,
 element-order histograms) are guarded by the enumeration bound and raise
 ResourceLimitError beyond it.  The class census seeds its conjugation
-orbits from the chain's own element iterator, stops once the classes
-cover |G|, and draws nothing at random.  It keeps one map, image tuple
--> class index, and per class its smallest member and its size; the
-members themselves are never wrapped.
+orbits from the chain's own element iterator and stops once the classes
+cover |G|.  Any generating set of G closes each seed's whole class, so
+the classes, their seed order, representatives and sizes do not depend on
+the set it conjugates by.  It keeps one map, image tuple -> class index, and
+per class its smallest member and its size; the members themselves are
+never wrapped.
 
 Groups are immutable once built.  The element list and the class
 census are filled on first use and kept on the group; threads that
@@ -40,7 +49,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
@@ -51,6 +60,12 @@ EXHAUSTIVE_CLASS_BOUND = 10 ** 5
 PARSE_DEGREE_BOUND = 10 ** 5
 # Transversal images a chain may store, degree x non-base orbit points: ~80 MB.
 CHAIN_IMAGE_BOUND = 10 ** 7
+# The chain's seeded draws: product-replacement slots, and the draws in a
+# row that may sift to the identity before the deterministic pass.
+_SLOTS = 3
+_MISSES = 8
+# Seeded pairs the class census tries as its two conjugating generators.
+_PAIRS = 3
 
 
 def _check_enumerable(n):
@@ -67,6 +82,15 @@ def check_chain_images(images, degree):
     if images > CHAIN_IMAGE_BOUND:
         raise ResourceLimitError(f"a stabilizer chain on {degree} points would store more "
                                  f"than the fixed bound of {CHAIN_IMAGE_BOUND} transversal images")
+
+
+def _draws():
+    """The one fixed-seed stream behind every seeded draw: the high bits of a
+    64-bit linear congruential generator (Knuth's MMIX constants)."""
+    seed = 1
+    while True:
+        seed = (seed * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        yield seed >> 20
 
 
 def _invert(images):
@@ -249,7 +273,9 @@ class _Level:
 class PermGroup:
     """A permutation group with a deterministic base and strong generating set."""
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators, _within=None):
+        """_within, for perms' own subgroups only: a built group expected to
+        hold every generator; its order then bounds the chain's."""
         self.degree = int(degree)
         gens = []
         for g in generators:
@@ -266,7 +292,7 @@ class PermGroup:
         self._element_list = None
         self._census = None
         self._images = 0          # transversal images stored, against CHAIN_IMAGE_BOUND
-        self._build_chain()
+        self._build_chain(_within)
         self._order = prod(self.basic_orbit_sizes())
 
     # ------------------------------------------------------------------ chain
@@ -286,9 +312,12 @@ class PermGroup:
                                       self._identity))
         pair = (h, _invert(h))
         deeper = len(self.levels[j + 1].gens) if j + 1 < len(self.levels) else 0
-        for lev in self.levels[:j + 1]:
+        for i, lev in enumerate(self.levels[:j + 1]):
             lev.gens.insert(len(lev.gens) - deeper, pair)
-            self._extend_orbit(lev, pair)
+            # h fixes the i earlier base points, so it maps an orbit of all
+            # the other degree - i points to itself
+            if len(lev.inv) < self.degree - i:
+                self._extend_orbit(lev, pair)
         return j
 
     def _extend_orbit(self, lev, pair):
@@ -322,9 +351,55 @@ class PermGroup:
             h = tuple(map(u.__getitem__, h))
         return h
 
-    def _build_chain(self):
+    def _order_bound(self, within):
+        """An upper bound on |<S>|: the product of |O|! over the orbits O,
+        halved when every generator is even (<S> then lies in the even part
+        of that product of symmetric groups); at most |within| when within,
+        a built group, holds every generator, checked by sifting each."""
+        bound = prod(factorial(len(orbit)) for orbit in self.orbits())
+        if bound > 1 and all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0
+                             for g in self.generators):
+            bound //= 2
+        if within is not None and all(within._sift(g.images) == within._identity
+                                      for g in self.generators):
+            bound = min(bound, within.order())
+        return bound
+
+    def _draw_to_bound(self, bound):
+        """Sift a fixed-seed product-replacement stream (Celler et al., Comm.
+        Algebra 23, 1995) and register each non-identity residue, until the
+        basic orbits multiply to bound; True if they did.  Every registered
+        element lies in <S>, so the partial chain has prod |orbit| <= |<S>|
+        <= bound, and equality proves each basic orbit complete.  False once
+        _MISSES draws in a row sift to the identity first."""
+        gens = [g.images for g in self.generators]
+        state = (gens * _SLOTS)[:max(len(gens), _SLOTS)]
+        x, r, misses = self._identity, len(state), 0
+        reached = prod(self.basic_orbit_sizes())
+        draws = _draws()
+        while reached < bound:
+            d = next(draws)
+            i, j = d % r, (d >> 22) % (r - 1)
+            j += j >= i
+            s = state[i] = tuple(map(state[i].__getitem__, state[j]))
+            x = tuple(map(x.__getitem__, s))
+            residue = self._sift(x)
+            if residue == self._identity:
+                misses += 1
+                if misses == _MISSES:
+                    return False
+            else:
+                self._register(residue)
+                misses, reached = 0, prod(self.basic_orbit_sizes())
+        return True
+
+    def _build_chain(self, within):
+        """The seeded draws up to the order bound; else the deterministic
+        Schreier pass, which sifts every Schreier pair at every level."""
         for g in self.generators:
             self._register(g.images)
+        if self._draw_to_bound(self._order_bound(within)):
+            return
         i = len(self.levels) - 1
         while i >= 0:
             lev = self.levels[i]
@@ -370,14 +445,12 @@ class PermGroup:
 
     def orbit(self, point):
         """Orbit of a point under the whole group, discovery order."""
+        gens = [g.images for g in self.generators]
         seen = {point}
         queue = [point]
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
-            for s in self.generators:
-                y = s(p)
+        for p in queue:
+            for s in gens:
+                y = s[p]
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
@@ -397,6 +470,19 @@ class PermGroup:
         for g in self.generators:
             moved.update(g.moved_points())
         return sorted(moved)
+
+    def _random_elements(self):
+        """Uniform elements of G as image tuples, from the seeded stream.  G
+        writes each element uniquely as u_1 ... u_k, one transversal element
+        per level, so one uniform u_i^-1 per level, composed as
+        u_k^-1 ... u_1^-1, gives a uniform inverse of a uniform element."""
+        rows = [list(lev.inv.values()) for lev in self.levels]
+        draws = _draws()
+        while True:
+            h = self._identity
+            for row in rows:
+                h = tuple(map(row[next(draws) % len(row)].__getitem__, h))
+            yield h
 
     def iter_elements(self):
         """All elements, as products down the chain (deterministic order)."""
@@ -499,7 +585,7 @@ def class_census(G: PermGroup):
         return G._census
     _check_enumerable(G.order())
     class_of, reps, sizes = {}, [], []
-    gen_pairs = [(g.images.__getitem__, g.inverse().images) for g in G.generators]
+    gen_pairs = [(s.__getitem__, _invert(s)) for s in _conjugators(G)]
     for g in G.iter_elements():
         if len(class_of) == G.order():
             break
@@ -519,6 +605,23 @@ def class_census(G: PermGroup):
         raise AssertionError("class sizes do not sum to the group order")
     G._census = class_of, reps, sizes
     return G._census
+
+
+def _conjugators(G: PermGroup):
+    """Image tuples that generate G, to conjugate by in the census.  When G
+    has more than two generators: the first of _PAIRS pairs of seeded
+    uniform draws from G that generates G, proved by the pair's chain,
+    bounded by |G|, reaching |G|; else G's generators.  The classes do not
+    depend on which generating set conjugates."""
+    gens = [g.images for g in G.generators]
+    if len(gens) > 2:
+        draws = G._random_elements()
+        for _ in range(_PAIRS):
+            pair = [next(draws), next(draws)]
+            if PermGroup(G.degree, map(Permutation._trusted, pair),
+                         _within=G).order() == G.order():
+                return pair
+    return gens
 
 
 def conjugacy_classes(G: PermGroup) -> ClassData:
@@ -542,7 +645,7 @@ def center_order(G: PermGroup) -> int:
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of G containing the seed permutations."""
     gens = [s for s in seeds if not s.is_identity()]
-    K = PermGroup(G.degree, gens)
+    K = PermGroup(G.degree, gens, _within=G)
     while True:
         new = []
         for k in gens:
@@ -553,7 +656,7 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         if not new:
             return K
         gens.extend(new)
-        K = PermGroup(G.degree, gens)
+        K = PermGroup(G.degree, gens, _within=G)
 
 
 def structure_report(G: PermGroup):

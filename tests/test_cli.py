@@ -336,6 +336,18 @@ def test_chain_image_bound_refuses_in_bounded_time(capsys):
         assert time.perf_counter() - start < 2
 
 
+def test_large_alternating_groups_are_refused_in_bounded_time(capsys):
+    # A_300's chain passes the image bound; the deterministic pass ran for
+    # more than 5 min before reaching it, and chartab built A_100 (about 40 s)
+    # before checking its order bound
+    for argv, budget in ((("group", "--name", "alt", "--n", "300"), 30),
+                         (("chartab", "--name", "alt", "--n", "100"), 3)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "fixed" in err, argv
+        assert time.perf_counter() - start < budget, argv
+
+
 def test_enumeration_setting_caps_character_tables(capsys, monkeypatch):
     monkeypatch.setenv("FSG_ENUMERATION_BOUND", "100")
     for argv in (["chartab", "--name", "sym", "--n", "5"],

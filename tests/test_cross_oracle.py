@@ -22,7 +22,8 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from fsg.fields import make_field, multiplicative_generator, prime_power
 from fsg.golay import mathieu_m24
-from fsg.perms import PermGroup, Permutation, center_order, conjugacy_classes
+from fsg.perms import (PermGroup, Permutation, center_order, conjugacy_classes,
+                        structure_report, transitivity_degree)
 from fsg.zoo import PARTITION_BOUND, partition_count
 
 
@@ -53,6 +54,27 @@ def test_orders_match_sympy_on_random_generators(seed):
     for orb in ours.orbits():
         # orbit-stabilizer at the orbit's first point
         assert ours.order() // len(orb) == theirs.stabilizer(orb[0]).order()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_transitivity_and_derived_order_match_sympy(seed):
+    # the generator sets of test_orders_match_sympy_on_random_generators; their
+    # chains stop at the orbit bound, and the derived subgroup's chain, built
+    # by normal_closure, at |G|
+    rng = random.Random(seed)
+    degree = rng.randint(5, 11)
+    gens = [random_perm(rng, degree) for _ in range(rng.randint(1, 3))]
+    ours = PermGroup(degree, [Permutation(g) for g in gens])
+    support = ours.support()
+    relabel = {p: i for i, p in enumerate(support)}
+    on_support = SymGroup([SymPerm([relabel[g[p]] for p in support]) for g in gens])
+    k, sharp = transitivity_degree(ours)
+    assert k == on_support.transitivity_degree
+    if k:
+        assert sharp == (on_support.pointwise_stabilizer(list(range(k))).order() == 1)
+    if ours.order() <= 40320:       # structure_report runs the class census first
+        theirs = SymGroup([SymPerm(g) for g in gens])
+        assert structure_report(ours)[1] == theirs.derived_subgroup().order()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -541,3 +541,103 @@ def test_histogram_reads_the_cached_census(monkeypatch):
     a8, psl34 = from_census[3:]
     assert sum(a8.values()) == sum(psl34.values()) == 20160
     assert a8[15] == 2688 and 15 not in psl34
+
+
+def deterministic_pass_ran(G):
+    # the deterministic Schreier pass records every pair it sifts to the
+    # identity; the seeded draws record none
+    return any(lev.checked for lev in G.levels)
+
+
+def chain_is_valid(G):
+    """Each level's orbit is closed under its generators, each transversal
+    entry maps its point to the base, and the order is the closure oracle's."""
+    for lev in G.levels:
+        for h, _ in lev.gens:
+            assert all(h[p] in lev.inv for p in lev.inv)
+        for p, u_inv in lev.inv.items():
+            assert u_inv[p] == lev.base
+    assert G.order() == closure_order(G.degree, G.generators)
+
+
+def test_named_chains_stop_at_the_orbit_bound():
+    # S_n, A_n and E(2, m) reach the product of |orbit|! (halved for even
+    # generators), which proves every basic orbit complete
+    factorial = 2
+    for n in range(3, 31):
+        factorial *= n
+        for G, order in ((sym(n), factorial), (symmetric(n), factorial),
+                         (alt(n), factorial // 2), (alternating(n), factorial // 2)):
+            assert G.order() == order and G._order_bound(None) == order
+            assert not deterministic_pass_ran(G), (n, order)
+    E = elementary_abelian(2, 30)
+    assert E.order() == E._order_bound(None) == 2 ** 30
+    assert not deterministic_pass_ran(E)
+
+
+def test_chains_below_the_bound_fall_back_exactly():
+    # PSL_2(7) on 8 points and D_12 lie far below the orbit bound: the
+    # draws give up and the deterministic pass finishes the chain
+    for G, order in ((projective_action("PSL", 2, make_field(7)), 168), (dihedral(12), 24)):
+        G = PermGroup(G.degree, G.generators)
+        assert deterministic_pass_ran(G)
+        assert G.order() == order < G._order_bound(None)
+        chain_is_valid(G)
+        assert all(x in G for x in itertools.islice(G.iter_elements(), 50))
+        assert cyc(G.degree, (0, 1)) not in G
+
+
+def test_an_odd_generator_doubles_the_bound():
+    # A_n's generators are even and give n!/2; one transposition more gives n!
+    factorial = 2
+    for n in range(3, 16):
+        factorial *= n
+        A = alt(n)
+        G = group_from_generators(n, list(A.generators) + [cyc(n, (0, 1))])
+        assert (A.order(), G.order()) == (factorial // 2, factorial)
+        assert G._order_bound(None) == factorial
+        if n <= 7:
+            chain_is_valid(G)
+
+
+def test_subgroup_bound_needs_membership():
+    # S_6's generators do not lie in A_6, so A_6's order must not bound their
+    # chain: each generator is sifted into the overgroup first
+    A6 = alt(6)
+    S6 = sym(6)
+    assert PermGroup(6, S6.generators, _within=A6).order() == 720
+    assert PermGroup(6, S6.generators, _within=A6)._order_bound(A6) == 720
+    assert PermGroup(6, A6.generators, _within=S6)._order_bound(S6) == 360
+    # inside A_6 a 3-cycle's closure is A_6, bounded by |A_6|
+    assert PermGroup(6, [cyc(6, (0, 1, 2)), cyc(6, (1, 2, 3, 4, 5))],
+                     _within=S6)._order_bound(A6) == 360
+    assert normal_closure(A6, [cyc(6, (0, 1, 2))]).order() == 360
+    assert normal_closure(A6, [cyc(6, (0, 1))]).order() == 720
+
+
+def test_elementary_abelian_chain_builds_in_bounded_time():
+    # m levels of orbit 2: the orbit bound 2^m is reached by the generators
+    # alone (the deterministic pass took 3.7 s at m = 200)
+    import time
+    start = time.perf_counter()
+    E = elementary_abelian(2, 400)
+    assert time.perf_counter() - start < 5
+    assert E.order() == 2 ** 400 and not deterministic_pass_ran(E)
+
+
+def test_census_conjugates_by_a_certified_pair():
+    # PSL_3(4) has 12 generators; the census conjugates by two seeded draws
+    # whose chain reaches |G|, and keeps the same classes
+    G = projective_action("PSL", 3, make_field(2, 2))
+    assert len(G.generators) == 12
+    pair = perms._conjugators(G)
+    assert len(pair) == 2
+    assert PermGroup(G.degree, map(Permutation, pair)).order() == G.order()
+    assert conjugacy_classes(G).class_sizes == (1, 315, 2240, 1260, 1260, 1260,
+                                                4032, 4032, 2880, 2880)
+    # E(2, 4) is not 2-generated: every pair fails, the census conjugates by
+    # its own four generators, and each element is its own class
+    E = elementary_abelian(2, 4)
+    assert perms._conjugators(E) == [g.images for g in E.generators]
+    data = conjugacy_classes(E)
+    assert data.class_sizes == (1,) * 16 and data.center_size == 16
