@@ -354,12 +354,18 @@ class PermGroup:
     def _order_bound(self, within):
         """An upper bound on |<S>|: the product of |O|! over the orbits O,
         halved when every generator is even (<S> then lies in the even part
-        of that product of symmetric groups); at most |within| when within,
+        of that product of symmetric groups).  Commuting generators give an
+        abelian <S>, regular on each orbit, so at most prod |O|, and at most
+        the product of the generators' orders.  At most |within| when within,
         a built group, holds every generator, checked by sifting each."""
-        bound = prod(factorial(len(orbit)) for orbit in self.orbits())
-        if bound > 1 and all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0
-                             for g in self.generators):
+        sizes = [len(orbit) for orbit in self.orbits()]
+        cycles = [g.cycles() for g in self.generators]
+        bound = prod(map(factorial, sizes))
+        if bound > 1 and all(sum(len(c) - 1 for c in cs) % 2 == 0 for cs in cycles):
             bound //= 2
+        abelian = min(prod(sizes), prod(lcm(*map(len, cs)) for cs in cycles))
+        if abelian < bound and self.is_abelian():
+            bound = abelian
         if within is not None and all(within._sift(g.images) == within._identity
                                       for g in self.generators):
             bound = min(bound, within.order())
@@ -510,9 +516,13 @@ class PermGroup:
         return self._element_list
 
     def is_abelian(self):
-        return all((a * b).images == (b * a).images
-                   for i, a in enumerate(self.generators)
-                   for b in self.generators[i + 1:])
+        """True iff the generators commute pairwise.  A pair is compared on
+        the points either one moves; both fix every other point."""
+        moved = [(g.images, g.moved_points()) for g in self.generators]
+        return all(a[b[x]] == b[a[x]]
+                   for i, (a, a_moved) in enumerate(moved)
+                   for b, b_moved in moved[i + 1:]
+                   for x in a_moved + b_moved)
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,30 @@ def test_an_odd_generator_doubles_the_bound():
             chain_is_valid(G)
 
 
+def test_commuting_generators_bound_by_their_orbits():
+    # an abelian <S> is regular on each orbit, so |<S>| <= prod |O|, and at
+    # most the product of its generators' orders; E(p, m) and cyclic groups
+    # reach that bound with no deterministic pass
+    for G, order in ((elementary_abelian(3, 60), 3 ** 60),
+                     (elementary_abelian(5, 12), 5 ** 12), (cyclic(30), 30)):
+        assert G.order() == G._order_bound(None) == order
+        assert not deterministic_pass_ran(G)
+    # one generator with cycles 2 and 4: its order 4, below prod |O| = 8
+    G = group_from_generators(6, [cyc(6, (0, 1), (2, 3, 4, 5))])
+    assert G._order_bound(None) == G.order() == 4
+    # two commuting generators on one orbit: prod |O| = 4, below 4 * 2
+    G = group_from_generators(4, [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 2), (1, 3))])
+    assert G._order_bound(None) == G.order() == 4
+    chain_is_valid(G)
+    # two transpositions that do not commute keep 3! (prod |O| would be 3)
+    G = group_from_generators(3, [cyc(3, (0, 1)), cyc(3, (1, 2))])
+    assert not G.is_abelian()
+    assert G._order_bound(None) == G.order() == 6
+    # commuting is compared on the moved points only: disjoint supports commute
+    assert group_from_generators(7, [cyc(7, (0, 1)), cyc(7, (2, 3, 4))]).is_abelian()
+    assert not group_from_generators(7, [cyc(7, (0, 1)), cyc(7, (1, 5))]).is_abelian()
+
+
 def test_subgroup_bound_needs_membership():
     # S_6's generators do not lie in A_6, so A_6's order must not bound their
     # chain: each generator is sifted into the overgroup first
@@ -616,13 +640,15 @@ def test_subgroup_bound_needs_membership():
 
 
 def test_elementary_abelian_chain_builds_in_bounded_time():
-    # m levels of orbit 2: the orbit bound 2^m is reached by the generators
-    # alone (the deterministic pass took 3.7 s at m = 200)
+    # m levels of orbit p: the generators alone reach the orbit bound 2^m,
+    # or for p > 2 the commuting bound p^m (the deterministic pass took 3.7 s
+    # for E(2, 200), and is cubic in m)
     import time
-    start = time.perf_counter()
-    E = elementary_abelian(2, 400)
-    assert time.perf_counter() - start < 5
-    assert E.order() == 2 ** 400 and not deterministic_pass_ran(E)
+    for p, m in ((2, 400), (3, 200)):
+        start = time.perf_counter()
+        E = elementary_abelian(p, m)
+        assert time.perf_counter() - start < 5
+        assert E.order() == p ** m and not deterministic_pass_ran(E)
 
 
 def test_census_conjugates_by_a_certified_pair():
