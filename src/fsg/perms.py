@@ -10,13 +10,12 @@ earlier base points.
 Orders are exact big integers: the order is the product of the
 fundamental orbit lengths along the chain.
 
-Seeded draws, all from one fixed-seed stream, enter in two places, and
-neither can change a result.  The chain build sifts product-replacement
-draws until the basic orbits multiply to a proven bound on the order,
-which proves the chain complete, and runs the deterministic Schreier
-pass if the draws stall; the draws decide only the speed, the base, the
-strong generators and the order of `iter_elements`.  The class census
-may conjugate by a seeded pair that provably generates G (below).
+The chain is a deterministic function of the generators: one Schreier
+pass, which stops as soon as the basic orbits multiply to a proven bound
+on the order, since that proves the chain complete.  Seeded draws, from
+one fixed-seed stream, enter in one place and cannot change a result:
+the class census may conjugate by a seeded pair that provably generates
+G (below).
 
 A permutation is validated where it enters: `Permutation(...)`,
 `Permutation.parse`, `Permutation.from_cycles` and the generators of a
@@ -49,6 +48,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
 from math import factorial, lcm, prod
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
@@ -60,10 +60,6 @@ EXHAUSTIVE_CLASS_BOUND = 10 ** 5
 PARSE_DEGREE_BOUND = 10 ** 5
 # Transversal images a chain may store, degree x non-base orbit points: ~80 MB.
 CHAIN_IMAGE_BOUND = 10 ** 7
-# The chain's seeded draws: product-replacement slots, and the draws in a
-# row that may sift to the identity before the deterministic pass.
-_SLOTS = 3
-_MISSES = 8
 # Seeded pairs the class census tries as its two conjugating generators.
 _PAIRS = 3
 
@@ -258,16 +254,18 @@ class Permutation:
 
 class _Level:
     """One chain level: base point; gens, every strong generator fixing the
-    earlier base points, as (images, inverse images); and inv: orbit point
-    p -> images of u_p^-1, in discovery order."""
+    earlier base points, as (images, inverse images); inv: orbit point p ->
+    images of u_p^-1, in discovery order; and sifted, per generator s in
+    gens, the orbit points p whose Schreier pair (p, s) has sifted to the
+    identity."""
 
-    __slots__ = ("base", "gens", "inv", "checked")
+    __slots__ = ("base", "gens", "inv", "sifted")
 
     def __init__(self, base, identity):
         self.base = base
         self.gens = []
         self.inv = {base: identity}
-        self.checked = set()      # Schreier pairs already sifted to identity
+        self.sifted = []
 
 
 class PermGroup:
@@ -313,20 +311,23 @@ class PermGroup:
         pair = (h, _invert(h))
         deeper = len(self.levels[j + 1].gens) if j + 1 < len(self.levels) else 0
         for i, lev in enumerate(self.levels[:j + 1]):
-            lev.gens.insert(len(lev.gens) - deeper, pair)
+            k = len(lev.gens) - deeper
+            lev.gens.insert(k, pair)
+            lev.sifted.insert(k, set())
             # h fixes the i earlier base points, so it maps an orbit of all
             # the other degree - i points to itself
             if len(lev.inv) < self.degree - i:
                 self._extend_orbit(lev, pair)
-        return j
 
     def _extend_orbit(self, lev, pair):
         """Grow lev's orbit, already closed under its other gens, by the new
-        pair in lev.gens: the new generator on the old points, every generator
-        on each new point.  Existing entries persist.  A new point y = s(p) gets
-        u_y^-1 = u_p^-1 s^-1, counted against the bound first."""
+        pair (s, s^-1) in lev.gens: s on the old points it takes out of the
+        orbit, found in one pass, then every generator on each new point.
+        Existing entries persist.  A new point y = s(p) gets u_y^-1 =
+        u_p^-1 s^-1, counted against the bound first."""
         inv = lev.inv
-        queue = list(inv)
+        s, s_inv = pair
+        queue = [s_inv[y] for y in filterfalse(inv.__contains__, map(s.__getitem__, inv))]
         old = len(queue)
         for k, p in enumerate(queue):
             up_inv = inv[p].__getitem__
@@ -371,66 +372,41 @@ class PermGroup:
             bound = min(bound, within.order())
         return bound
 
-    def _draw_to_bound(self, bound):
-        """Sift a fixed-seed product-replacement stream (Celler et al., Comm.
-        Algebra 23, 1995) and register each non-identity residue, until the
-        basic orbits multiply to bound; True if they did.  Every registered
-        element lies in <S>, so the partial chain has prod |orbit| <= |<S>|
-        <= bound, and equality proves each basic orbit complete.  False once
-        _MISSES draws in a row sift to the identity first."""
-        gens = [g.images for g in self.generators]
-        state = (gens * _SLOTS)[:max(len(gens), _SLOTS)]
-        x, r, misses = self._identity, len(state), 0
-        reached = prod(self.basic_orbit_sizes())
-        draws = _draws()
-        while reached < bound:
-            d = next(draws)
-            i, j = d % r, (d >> 22) % (r - 1)
-            j += j >= i
-            s = state[i] = tuple(map(state[i].__getitem__, state[j]))
-            x = tuple(map(x.__getitem__, s))
-            residue = self._sift(x)
-            if residue == self._identity:
-                misses += 1
-                if misses == _MISSES:
-                    return False
-            else:
-                self._register(residue)
-                misses, reached = 0, prod(self.basic_orbit_sizes())
-        return True
-
     def _build_chain(self, within):
-        """The seeded draws up to the order bound; else the deterministic
-        Schreier pass, which sifts every Schreier pair at every level."""
+        """Schreier-Sims from the top level down, restarting at level 0 after
+        each registration.  Every registered residue lies in <S>, so a
+        partial chain has prod |orbit| <= |<S>| <= _order_bound(within), and
+        reaching the bound proves each basic orbit complete (Seress,
+        Permutation Group Algorithms, 4.3): the pass stops there.  Below the
+        bound it ends once every Schreier pair at every level sifts to the
+        identity through the levels after it.  A level takes its orbit points
+        latest-discovered first, whose coset representatives are the longest
+        words in the generators; on S_n and A_n that order registers one
+        residue per level."""
         for g in self.generators:
             self._register(g.images)
-        if self._draw_to_bound(self._order_bound(within)):
-            return
-        i = len(self.levels) - 1
-        while i >= 0:
+        bound = self._order_bound(within)
+        i = 0
+        while i < len(self.levels) and prod(self.basic_orbit_sizes()) < bound:
             lev = self.levels[i]
-            restart = False
-            for p in list(lev.inv):
-                up = None               # u_p, inverted only for an unchecked pair
-                for s, _ in lev.gens:
-                    key = (p, s)
-                    if key in lev.checked:
+            i += 1                      # the next level, unless a registration restarts
+            for p in reversed(lev.inv):
+                up = None               # u_p, inverted only for an unsifted pair
+                for (s, _), done in zip(lev.gens, lev.sifted):
+                    if p in done:
                         continue
                     if up is None:
                         up = _invert(lev.inv[p])
                     schreier = tuple(map(lev.inv[s[p]].__getitem__,
                                          map(s.__getitem__, up)))
-                    residue = self._sift(schreier, i + 1)
-                    if residue == self._identity:
-                        lev.checked.add(key)
-                    else:
-                        i = self._register(residue)
-                        restart = True
+                    residue = self._sift(schreier, i)
+                    if residue != self._identity:
+                        self._register(residue)     # both loops end before
+                        i = 0                       # they see the change
                         break
-                if restart:
+                    done.add(p)
+                if i == 0:
                     break
-            if not restart:
-                i -= 1
 
     # ---------------------------------------------------------------- queries
 

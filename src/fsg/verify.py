@@ -324,8 +324,7 @@ def _check_zoo_laws():
     from .fields import is_prime
     from .perms import conjugacy_classes
     from .zoo import (cyclic, direct_product, holomorph, nonabelian_pq_group,
-                      semidirect_product, symmetric, trivial_action,
-                      vierergruppe)
+                      symmetric, vierergruppe)
     from .errors import ValidationError
     problems = []
     # holomorph orders

@@ -12,6 +12,7 @@ InternalDefectError on mismatch, so a returned group is a verified one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import factorial
 
 from .cayley import CayleyStructure
@@ -339,9 +340,9 @@ AUTOMORPHISM_BOUND = 64
 def automorphism_perms(G):
     """All automorphisms of G as permutations of its element list.
 
-    Backtracking over generator images, pruned by element order; every
-    surviving candidate is verified against the full multiplication
-    table, so pruning bugs cannot produce false positives.
+    Tries every tuple of generator images, each of its generator's element
+    order; every candidate map is verified against the full multiplication
+    table, so the order pruning cannot produce false positives.
     """
     n = G.order()
     if n > AUTOMORPHISM_BOUND:
@@ -380,16 +381,10 @@ def automorphism_perms(G):
             return None
         return tuple(phi)
 
-    def backtrack(k, images):
-        if k == len(gens):
-            phi = build_map(images)
-            if phi is not None:
-                found.append(phi)
-            return
-        for c in candidates[k]:
-            backtrack(k + 1, images + [c])
-
-    backtrack(0, [])
+    for images in product(*candidates):
+        phi = build_map(images)
+        if phi is not None:
+            found.append(phi)
     return cs, found
 
 

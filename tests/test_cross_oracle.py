@@ -22,6 +22,7 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from fsg.fields import make_field, multiplicative_generator, prime_power
 from fsg.golay import mathieu_m24
+from fsg.matgroups import projective_action
 from fsg.perms import (PermGroup, Permutation, center_order, conjugacy_classes,
                         structure_report, transitivity_degree)
 from fsg.zoo import PARTITION_BOUND, partition_count
@@ -33,12 +34,9 @@ def random_perm(rng, degree):
     return images
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_orders_match_sympy_on_random_generators(seed):
-    rng = random.Random(seed)
-    degree = rng.randint(5, 11)
-    k = rng.randint(1, 3)
-    gens = [random_perm(rng, degree) for _ in range(k)]
+def chain_matches_sympy(degree, gens):
+    """Build the chain on gens and compare it with sympy's group; returns
+    the built group."""
     ours = PermGroup(degree, [Permutation(g) for g in gens])
     theirs = SymGroup([SymPerm(g) for g in gens])
     assert ours.order() == theirs.order()
@@ -54,6 +52,47 @@ def test_orders_match_sympy_on_random_generators(seed):
     for orb in ours.orbits():
         # orbit-stabilizer at the orbit's first point
         assert ours.order() // len(orb) == theirs.stabilizer(orb[0]).order()
+    return ours
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_orders_match_sympy_on_random_generators(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(5, 11)
+    k = rng.randint(1, 3)
+    chain_matches_sympy(degree, [random_perm(rng, degree) for _ in range(k)])
+
+
+def relabelled(rng, gens):
+    """The generators conjugated by one random relabelling of the points."""
+    sigma = random_perm(rng, len(gens[0]))
+    out = []
+    for g in gens:
+        h = [0] * len(g)
+        for x, y in enumerate(g):
+            h[sigma[x]] = sigma[y]
+        out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chains_below_the_orbit_bound_match_sympy(seed):
+    # random sets are almost all S_n or A_n on each orbit, where the chain
+    # stops at the orbit bound; these groups lie far below it, so every
+    # Schreier pair is sifted: random elements of S_3 wr S_3 that keep the
+    # blocks {0,1,2}, {3,4,5}, {6,7,8}, and PSL_2(p) on p + 1 points, each
+    # under a random relabelling
+    rng = random.Random(700 + seed)
+    if seed % 2 == 0:
+        def wreath_element():
+            blocks, inner = random_perm(rng, 3), [random_perm(rng, 3) for _ in range(3)]
+            return [3 * blocks[b] + inner[b][x] for b in range(3) for x in range(3)]
+        gens = [wreath_element() for _ in range(rng.randint(2, 3))]
+    else:
+        p = (5, 7, 11, 13)[seed // 2]
+        gens = [list(g.images) for g in projective_action("PSL", 2, make_field(p)).generators]
+    G = chain_matches_sympy(len(gens[0]), relabelled(rng, gens))
+    assert G.order() < G._order_bound(None)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -2,6 +2,7 @@
 structure queries, transitivity."""
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -12,6 +13,7 @@ from fsg import perms
 from fsg.characters import character_table
 from fsg.errors import DomainMismatchError, ResourceLimitError, ValidationError
 from fsg.fields import make_field
+from fsg.golay import mathieu_m24
 from fsg.matgroups import projective_action
 from fsg.perms import (
     ClassData,
@@ -543,10 +545,10 @@ def test_histogram_reads_the_cached_census(monkeypatch):
     assert a8[15] == 2688 and 15 not in psl34
 
 
-def deterministic_pass_ran(G):
-    # the deterministic Schreier pass records every pair it sifts to the
-    # identity; the seeded draws record none
-    return any(lev.checked for lev in G.levels)
+def pairs_left_unsifted(G):
+    # some Schreier pair (orbit point, level generator) never sifted to the
+    # identity: the pass stopped at the order bound before it got there
+    return any(len(done) < len(lev.inv) for lev in G.levels for done in lev.sifted)
 
 
 def chain_is_valid(G):
@@ -569,18 +571,19 @@ def test_named_chains_stop_at_the_orbit_bound():
         for G, order in ((sym(n), factorial), (symmetric(n), factorial),
                          (alt(n), factorial // 2), (alternating(n), factorial // 2)):
             assert G.order() == order and G._order_bound(None) == order
-            assert not deterministic_pass_ran(G), (n, order)
+            assert pairs_left_unsifted(G), (n, order)
     E = elementary_abelian(2, 30)
     assert E.order() == E._order_bound(None) == 2 ** 30
-    assert not deterministic_pass_ran(E)
+    assert pairs_left_unsifted(E)
 
 
-def test_chains_below_the_bound_fall_back_exactly():
+def test_chains_below_the_bound_sift_every_pair():
     # PSL_2(7) on 8 points and D_12 lie far below the orbit bound: the
-    # draws give up and the deterministic pass finishes the chain
+    # pass ends only once every Schreier pair at every level has sifted
+    # to the identity
     for G, order in ((projective_action("PSL", 2, make_field(7)), 168), (dihedral(12), 24)):
         G = PermGroup(G.degree, G.generators)
-        assert deterministic_pass_ran(G)
+        assert not pairs_left_unsifted(G)
         assert G.order() == order < G._order_bound(None)
         chain_is_valid(G)
         assert all(x in G for x in itertools.islice(G.iter_elements(), 50))
@@ -603,11 +606,11 @@ def test_an_odd_generator_doubles_the_bound():
 def test_commuting_generators_bound_by_their_orbits():
     # an abelian <S> is regular on each orbit, so |<S>| <= prod |O|, and at
     # most the product of its generators' orders; E(p, m) and cyclic groups
-    # reach that bound with no deterministic pass
+    # reach that bound before every Schreier pair is sifted
     for G, order in ((elementary_abelian(3, 60), 3 ** 60),
                      (elementary_abelian(5, 12), 5 ** 12), (cyclic(30), 30)):
         assert G.order() == G._order_bound(None) == order
-        assert not deterministic_pass_ran(G)
+        assert pairs_left_unsifted(G)
     # one generator with cycles 2 and 4: its order 4, below prod |O| = 8
     G = group_from_generators(6, [cyc(6, (0, 1), (2, 3, 4, 5))])
     assert G._order_bound(None) == G.order() == 4
@@ -641,14 +644,29 @@ def test_subgroup_bound_needs_membership():
 
 def test_elementary_abelian_chain_builds_in_bounded_time():
     # m levels of orbit p: the generators alone reach the orbit bound 2^m,
-    # or for p > 2 the commuting bound p^m (the deterministic pass took 3.7 s
-    # for E(2, 200), and is cubic in m)
+    # or for p > 2 the commuting bound p^m (sifting every Schreier pair took
+    # 3.7 s for E(2, 200), and is cubic in m)
     import time
     for p, m in ((2, 400), (3, 200)):
         start = time.perf_counter()
         E = elementary_abelian(p, m)
         assert time.perf_counter() - start < 5
-        assert E.order() == p ** m and not deterministic_pass_ran(E)
+        assert E.order() == p ** m and pairs_left_unsifted(E)
+
+
+def test_chain_build_takes_no_seeded_draws(monkeypatch):
+    # the chain is a deterministic function of its generators: with the
+    # seeded stream gone, S_20, PSL_2(7) and M24 still build, with their
+    # orders
+    def no_draws():
+        raise AssertionError("the chain build drew from the seeded stream")
+
+    groups = [(symmetric(20), math.factorial(20)),
+              (projective_action("PSL", 2, make_field(7)), 168),
+              (mathieu_m24().group, 244823040)]
+    monkeypatch.setattr(perms, "_draws", no_draws)
+    for G, order in groups:
+        assert PermGroup(G.degree, G.generators).order() == order
 
 
 def test_census_conjugates_by_a_certified_pair():
