@@ -3,16 +3,22 @@
 IntegerSeries is a truncated Laurent-style series with big-integer
 coefficients and a signed leading exponent.  Every operation tracks the
 window of exponents on which the result is exact and never silently
-extends past it; division and root extraction are verified by
-remultiplication before returning, so a returned series is a certified
-one.  All the identity checks in this module are pure integer
-equalities: there is no tolerance anywhere.
+extends past it.  IntegerSeries.__pow__ is the one recurrence for a
+rational power, each certified by the differential identity it solves:
+Delta = q euler^24, 1/Delta = q^-1 euler^-24, j^(1/3) = (q j)^(1/3) and
+the partition numbers 1/euler come from it, and j = E4^3 / Delta is
+certified by remultiplying j Delta = E4^3.  All the identity checks in
+this module are pure integer equalities: there is no tolerance anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import compress, repeat
 from math import isqrt
+from operator import add, mul, sub
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .sporadic import sporadic_table
@@ -48,11 +54,6 @@ class IntegerSeries:
     def coeff_range(self, lo, hi):
         return [self.coeff(n) for n in range(lo, hi + 1)]
 
-    def truncate(self, through):
-        if through > self.known_through:
-            raise ValidationError("cannot truncate beyond the known window")
-        return IntegerSeries(self.leading, self.coeffs[:through - self.leading + 1])
-
     def shift(self, k):
         return IntegerSeries(self.leading + k, self.coeffs)
 
@@ -84,83 +85,78 @@ class IntegerSeries:
             raise ValidationError("product truncates to an empty window")
         a, b = self.coeffs, other.coeffs
         out = [0] * n_out
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(a[:n_out]):
             if ai:
                 top = min(len(b), n_out - i)
-                for j in range(top):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
+                if ai in (1, -1):       # as in the Euler function: no product
+                    out[i:i + top] = map(add if ai == 1 else sub, out[i:i + top], b[:top])
+                else:
+                    out[i:i + top] = map(add, out[i:i + top], map(mul, repeat(ai), b[:top]))
         return IntegerSeries(lead, tuple(out))
 
     def eq_through(self, other, through):
         lo = min(self.leading, other.leading)
         return all(self.coeff(n) == other.coeff(n) for n in range(lo, through + 1))
 
-    def inverse(self):
-        """Inverse of a series with unit +-1 leading coefficient."""
-        if not self.coeffs or self.coeffs[0] not in (1, -1):
-            raise ValidationError("only unit-leading series are inverted here")
-        u = self.coeffs[0]
-        n = len(self.coeffs)
-        inv = [u] + [0] * (n - 1)
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -u * acc
-        return IntegerSeries(-self.leading, tuple(inv))
+    def derivative(self):
+        """d/dq of a series that starts at q^0, exact one term below self."""
+        return IntegerSeries(0, tuple(m * c for m, c in enumerate(self.coeffs) if m))
 
-    def exact_div(self, other):
-        """self / other with a remultiplication certificate."""
-        quotient = self * other.inverse()
-        check = quotient * other
-        if not check.eq_through(self, min(check.known_through, self.known_through)):
-            raise InternalDefectError("division certificate failed")
-        return quotient
+    def __pow__(self, alpha):
+        """self^alpha for a rational alpha = a/b and leading term 1 at q^0.
 
-    def cube_root(self):
-        """The series S with S^3 = self, for leading term 1*q^0.
-
-        Uses the derivative recurrence 3 S' T = S T'; integrality of every
-        step is asserted and the cube is re-multiplied as a certificate.
+        J. C. P. Miller's recurrence m f_m = sum_k ((alpha+1)k - m) g_k f_(m-k),
+        summed over the nonzero g_k (Knuth, TAOCP vol. 2, 4.7); every
+        division is asserted exact.  The result F is certified by
+        b g F' = a g' F, which with F_0 = 1 only g^(a/b) satisfies.  It is
+        checked as a (g F)' = (a + b) g F', two products with g as the
+        outer factor; for 1/g the right side vanishes.
         """
         if self.leading != 0 or not self.coeffs or self.coeffs[0] != 1:
-            raise ValidationError("cube root needs leading term 1 at q^0")
-        t = self.coeffs
-        n = len(t)
-        s = [1] + [0] * (n - 1)
-        for k in range(n - 1):
-            # coefficient of q^k in S T' minus the known part of 3 S' T
-            rhs = 0
-            for i in range(0, k + 1):
-                rhs += s[i] * (k - i + 1) * t[k - i + 1] if k - i + 1 < n else 0
-            lhs_known = 0
-            for i in range(0, k):
-                lhs_known += 3 * (i + 1) * s[i + 1] * t[k - i]
-            num = rhs - lhs_known
-            den = 3 * (k + 1)
-            if num % den:
-                raise InternalDefectError("cube root is not an integer series")
-            s[k + 1] = num // den
-        root = IntegerSeries(0, tuple(s))
-        cube = root * root * root
-        if not cube.eq_through(self, cube.known_through):
-            raise InternalDefectError("cube-root certificate failed")
-        return root
+            raise ValidationError("a series power needs leading term 1 at q^0")
+        alpha = Fraction(alpha)
+        a, b = alpha.numerator, alpha.denominator
+        ks = [k for k, g in enumerate(self.coeffs) if k and g]
+        gs = [self.coeffs[k] for k in ks]
+        kgs = [k * g for k, g in zip(ks, gs)]
+        unit = set(gs) <= {1, -1}       # as in the Euler function: sum by sign
+        plus, minus = [g == 1 for g in gs], [g == -1 for g in gs]
+        f = [1]
+        for m in range(1, len(self.coeffs)):
+            fs = [f[m - k] for k in ks[:bisect_right(ks, m)]]
+            num = -b * m * (sum(compress(fs, plus)) - sum(compress(fs, minus)) if unit
+                            else sum(map(mul, gs, fs)))
+            if a + b:                   # the (alpha+1)k term; 0 for 1/g
+                num += (a + b) * sum(map(mul, kgs, fs))
+            fm, rem = divmod(num, b * m)
+            if rem:
+                raise InternalDefectError("series power is not an integer series")
+            f.append(fm)
+        power = IntegerSeries(0, tuple(f))
+        if len(f) > 1:                  # a (g F)' - (a + b) g F' = a g' F - b g F'
+            residue = (self * power).derivative().scale(a)
+            if a + b:
+                residue = residue - (self * power.derivative()).scale(a + b)
+            if any(residue.coeffs):
+                raise InternalDefectError("power certificate failed")
+        return power
 
 
 # ------------------------------------------------------------------ modular
 
 
-def _euler_product_coeffs(n_max):
-    """Coefficients of prod_(k>=1) (1 - q^k) through q^n_max, by repeated
-    multiplication with the sparse binomials."""
-    c = [0] * (n_max + 1)
+def euler_function(num_terms) -> IntegerSeries:
+    """prod_(k>=1) (1 - q^k) through q^num_terms, by Euler's pentagonal
+    theorem: the sum of (-1)^k q^(k(3k-1)/2) over all integers k."""
+    c = [0] * (num_terms + 1)
     c[0] = 1
-    for k in range(1, n_max + 1):
-        for i in range(n_max, k - 1, -1):
-            c[i] -= c[i - k]
-    return c
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= num_terms:    # g and g + k: pentagonal
+        c[g] = (-1) ** k
+        if g + k <= num_terms:
+            c[g + k] = (-1) ** k
+        k += 1
+    return IntegerSeries(0, tuple(c))
 
 
 def delta_expansion(num_terms) -> IntegerSeries:
@@ -170,14 +166,7 @@ def delta_expansion(num_terms) -> IntegerSeries:
     if num_terms > DELTA_TERM_BOUND:
         raise ResourceLimitError(
             f"delta expansion capped at the fixed bound of {DELTA_TERM_BOUND} terms")
-    n = num_terms - 1
-    u = IntegerSeries(0, tuple(_euler_product_coeffs(n)))
-    u2 = (u * u).truncate(n)
-    u4 = (u2 * u2).truncate(n)
-    u8 = (u4 * u4).truncate(n)
-    u16 = (u8 * u8).truncate(n)
-    u24 = (u16 * u8).truncate(n)
-    return u24.shift(1)
+    return (euler_function(num_terms - 1) ** 24).shift(1)
 
 
 def eisenstein_e4(num_terms) -> IntegerSeries:
@@ -198,27 +187,25 @@ def j_expansion(num_terms) -> IntegerSeries:
     if num_terms > J_TERM_BOUND:
         raise ResourceLimitError(
             f"j expansion capped at the fixed bound of {J_TERM_BOUND} terms")
-    n = num_terms + 2
+    n = num_terms + 1
     e4 = eisenstein_e4(n)
-    e4_cubed = (e4 * e4 * e4).truncate(n)
-    delta = delta_expansion(n + 1)
-    j = e4_cubed.exact_div(delta)
-    return j.truncate(num_terms)
+    e4_cubed = e4 * e4 * e4
+    j = (e4_cubed * euler_function(n) ** -24).shift(-1)
+    if not (j * delta_expansion(n + 1)).eq_through(e4_cubed, n):
+        raise InternalDefectError("j * Delta = E4^3 certificate failed")
+    return j
 
 
 def j_cube_root(num_terms) -> IntegerSeries:
-    """The integer series S with S^3 = q*j; S = 1 + 248q + 4124q^2 + ...
-
-    This is the cube root of j with the fractional prefactor q^(-1/3)
-    stripped off, so no rational-exponent machinery is needed.
-    """
+    """S = (q j)^(1/3) = 1 + 248q + 4124q^2 + ..., the cube root of j with
+    its fractional prefactor q^(-1/3) stripped off so that S is an integer
+    series; a rational power like any other."""
     if num_terms < 0:
         raise ValidationError("the cube root needs num_terms >= 0")
     if num_terms > J_TERM_BOUND:
         raise ResourceLimitError(
             f"cube root capped at the fixed bound of {J_TERM_BOUND} terms")
-    qj = j_expansion(num_terms).shift(1)
-    return qj.cube_root()
+    return j_expansion(num_terms).shift(1) ** Fraction(1, 3)
 
 
 def leech_theta_prefix(num_terms) -> IntegerSeries:
@@ -229,10 +216,8 @@ def leech_theta_prefix(num_terms) -> IntegerSeries:
     if num_terms > J_TERM_BOUND:
         raise ResourceLimitError(
             f"theta prefix capped at the fixed bound of {J_TERM_BOUND} terms")
-    j = j_expansion(num_terms + 1)
-    delta = delta_expansion(num_terms + 2)
-    theta = (j - 720) * delta
-    return theta.truncate(num_terms)
+    # j through q^(n-1) and Delta through q^(n+1) fix the product through q^n
+    return (j_expansion(num_terms - 1) - 720) * delta_expansion(num_terms + 1)
 
 
 # ----------------------------------------------------------------- monster

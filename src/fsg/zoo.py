@@ -19,6 +19,7 @@ from .cayley import CayleyStructure
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import factorize, is_prime, make_field, prime_power
 from .matgroups import projective_action
+from .moonshine import euler_function
 from .perms import (PARSE_DEGREE_BOUND, PermGroup, Permutation, center_order,
                     check_chain_images, group_from_generators)
 
@@ -439,24 +440,14 @@ PARTITION_BOUND = 5000
 
 
 def partition_count(n):
-    """Part(n) by the pentagonal-number recurrence (exact), bottom-up in
-    one list; n above the fixed PARTITION_BOUND is refused."""
+    """Part(n), the coefficient of q^n in 1 / prod_(k>=1) (1 - q^k) (exact);
+    n above the fixed PARTITION_BOUND is refused."""
     if n < 0:
         return 0
     if n > PARTITION_BOUND:
         raise ResourceLimitError(
             f"partition counts stop at the fixed bound n = {PARTITION_BOUND}")
-    part = [1]
-    for m in range(1, n + 1):
-        total, k = 0, 1
-        while (g := k * (3 * k - 1) // 2) <= m:     # g and g + k: pentagonal
-            sign = 1 if k % 2 else -1
-            total += sign * part[m - g]
-            if g + k <= m:
-                total += sign * part[m - g - k]
-            k += 1
-        part.append(total)
-    return part[n]
+    return (euler_function(n) ** -1).coeff(n)
 
 
 def count_abelian_groups(n):

@@ -326,6 +326,31 @@ def test_every_refusal_names_its_setting_or_says_fixed(capsys, argv, names):
     assert code == 3 and out == "" and names in err, err
 
 
+# Each q-series flag at its documented bound, which finishes within a budget
+# of at least 5x its time on a 2-core x86 (delta 0.8 s, j 0.5 s, cube root
+# 1.2 s, theta 0.7 s, partitions 0.2 s), and one past it, which is refused
+# with that flag's own bound.  At 10^4 terms delta took 21 s with five
+# squarings, and theta's 1000 terms were refused by the j it asked for.
+SERIES_BOUNDS = [
+    (["moonshine", "--delta"], 10 ** 4, 5, "delta expansion capped at the fixed bound of 10000"),
+    (["moonshine", "--j"], 1000, 3, "j expansion capped at the fixed bound of 1000"),
+    (["moonshine", "--cube-root"], 1000, 6, "cube root capped at the fixed bound of 1000"),
+    (["leech", "--theta-terms"], 1000, 4, "theta prefix capped at the fixed bound of 1000"),
+    (["zoo", "--partitions"], 5000, 1, "partition counts stop at the fixed bound n = 5000"),
+]
+
+
+@pytest.mark.parametrize("argv, bound, budget, refusal", SERIES_BOUNDS,
+                         ids=[a[-1] for a, *_ in SERIES_BOUNDS])
+def test_series_bound_sweep(capsys, argv, bound, budget, refusal):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(bound))
+    assert time.perf_counter() - start < budget
+    assert code == 0 and err == "" and out
+    code, out, err = run(capsys, *argv, str(bound + 1))
+    assert (code, out) == (3, "") and refusal in err and "Traceback" not in err, err
+
+
 def test_chain_image_bound_refuses_in_bounded_time(capsys):
     # a 100,000-cycle used not to finish in 60 s, and clifford(15) ran out
     # of memory with exit 70

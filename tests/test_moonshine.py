@@ -1,14 +1,18 @@
 """Integer q-series arithmetic and the moonshine identities."""
 
+from fractions import Fraction
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsg.errors import ResourceLimitError, ValidationError
+from fsg.errors import InternalDefectError, ResourceLimitError, ValidationError
 from fsg.moonshine import (
     IntegerSeries,
     delta_expansion,
     eisenstein_e4,
+    euler_function,
     j_cube_root,
     j_expansion,
     leech_theta_prefix,
@@ -52,12 +56,50 @@ def test_series_associativity_random(xs, ys, zs):
 
 def test_inverse_and_exact_div():
     u = IntegerSeries(0, (1, -24, 252, -1472, 4830))
-    inv = u.inverse()
+    inv = u ** -1
     prod = u * inv
     assert prod.coeff(0) == 1
     assert all(prod.coeff(k) == 0 for k in range(1, prod.known_through + 1))
-    q = (u * u).exact_div(u)
+    q = (u * u) * inv
     assert q.eq_through(u, q.known_through)
+
+
+def test_power_guards():
+    for bad in (IntegerSeries(0, (2, 1)), IntegerSeries(0, (-1, 1)),
+                IntegerSeries(1, (1, 1)), IntegerSeries(0, ())):
+        with pytest.raises(ValidationError, match="leading term 1"):
+            bad ** 2
+    with pytest.raises(InternalDefectError, match="not an integer series"):
+        IntegerSeries(0, (1, 1, 0)) ** Fraction(1, 2)
+    assert (IntegerSeries(0, (1, 2, 1)) ** Fraction(1, 2)).coeffs == (1, 1, 0)
+    # one term: the certificate has no derivative to compare
+    for alpha in (24, -1, Fraction(1, 3)):
+        assert (IntegerSeries(0, (1,)) ** alpha).coeffs == (1,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=0, max_size=7), st.integers(-3, 4))
+def test_power_against_repeated_products(tail, k):
+    # integer powers against repeated multiplication, and the square root of
+    # a square against the series squared
+    g = IntegerSeries(0, (1, *tail))
+    one = IntegerSeries(0, (1,) + (0,) * len(tail))
+    product = one
+    for _ in range(abs(k)):
+        product = product * g
+    if k >= 0:
+        assert (g ** k).coeffs == product.coeffs
+    else:
+        assert (product * g ** k).coeffs == one.coeffs
+    assert ((g * g) ** Fraction(1, 2)).coeffs == g.coeffs
+
+
+def test_euler_function_against_the_product():
+    n = 60
+    prod = IntegerSeries(0, (1,) + (0,) * n)
+    for k in range(1, n + 1):
+        prod = prod * IntegerSeries(0, (1,) + (0,) * (k - 1) + (-1,) + (0,) * (n - k))
+    assert euler_function(n).coeffs == prod.coeffs
 
 
 def test_delta_against_hand_expansion():
@@ -90,8 +132,9 @@ def test_delta_against_hand_expansion():
 
 
 def test_delta_against_pentagonal_eta_oracle():
-    # Euler: prod(1-q^n) = sum (-1)^k q^(k(3k+-1)/2); delta = q * (that)^24
-    n = 12
+    # Euler: prod(1-q^n) = sum (-1)^k q^(k(3k+-1)/2); delta = q * (that)^24,
+    # multiplied out 24 times
+    n = 150
     eta = [0] * (n + 1)
     eta[0] = 1
     k = 1
@@ -111,6 +154,28 @@ def test_delta_against_pentagonal_eta_oracle():
         cur = nxt
     delta = delta_expansion(n + 1)
     assert [delta.coeff(m + 1) for m in range(n + 1)] == cur
+
+
+def test_ramanujan_tau_hecke_relations():
+    # tau(n), the coefficients of Delta, is multiplicative, obeys
+    # tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)), and is congruent
+    # to sigma_11(n) mod 691
+    n = 2000
+    delta = delta_expansion(n)
+    tau = [0] + [delta.coeff(m) for m in range(1, n + 1)]
+    assert tau[1:6] == [1, -24, 252, -1472, 4830]
+    for a in range(2, n + 1):
+        for b in range(a + 1, n // a + 1):
+            if gcd(a, b) == 1:
+                assert tau[a * b] == tau[a] * tau[b], (a, b)
+    for p in (m for m in range(2, n + 1) if all(m % d for d in range(2, isqrt(m) + 1))):
+        pk = p
+        while pk * p <= n:
+            assert tau[pk * p] == tau[p] * tau[pk] - p ** 11 * tau[pk // p], (p, pk)
+            pk *= p
+    for m in range(1, n + 1):
+        sigma11 = sum(d ** 11 for d in range(1, m + 1) if m % d == 0)
+        assert (tau[m] - sigma11) % 691 == 0, m
 
 
 def test_eisenstein_values():
@@ -136,7 +201,7 @@ def test_division_certificate_j_times_delta():
     j = j_expansion(n)
     delta = delta_expansion(n + 2)
     e4 = eisenstein_e4(n + 1)
-    e4_cubed = (e4 * e4 * e4).truncate(n + 1)
+    e4_cubed = e4 * e4 * e4
     back = j * delta
     assert back.eq_through(e4_cubed, back.known_through)
 
