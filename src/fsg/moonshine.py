@@ -3,8 +3,8 @@
 IntegerSeries is a truncated Laurent-style series with big-integer
 coefficients and a signed leading exponent.  Every operation tracks the
 window of exponents on which the result is exact and never silently
-extends past it.  IntegerSeries.__pow__ is the one recurrence for a
-rational power, each certified by the differential identity it solves:
+extends past it.  IntegerSeries.__pow__ is the one recurrence for rational
+powers, and it certifies each by the differential identity it solves:
 Delta = q euler^24, 1/Delta = q^-1 euler^-24, j^(1/3) = (q j)^(1/3) and
 the partition numbers 1/euler come from it, and j = E4^3 / Delta is
 certified by remultiplying j Delta = E4^3.  All the identity checks in
@@ -88,7 +88,7 @@ class IntegerSeries:
         for i, ai in enumerate(a[:n_out]):
             if ai:
                 top = min(len(b), n_out - i)
-                if ai in (1, -1):       # as in the Euler function: no product
+                if ai in (1, -1):       # the Euler function's rows: add, not multiply
                     out[i:i + top] = map(add if ai == 1 else sub, out[i:i + top], b[:top])
                 else:
                     out[i:i + top] = map(add, out[i:i + top], map(mul, repeat(ai), b[:top]))
@@ -119,7 +119,8 @@ class IntegerSeries:
         ks = [k for k, g in enumerate(self.coeffs) if k and g]
         gs = [self.coeffs[k] for k in ks]
         kgs = [k * g for k, g in zip(ks, gs)]
-        unit = set(gs) <= {1, -1}       # as in the Euler function: sum by sign
+        # unit coefficients, as in the Euler function, are summed by sign
+        unit = set(gs) <= {1, -1}
         plus, minus = [g == 1 for g in gs], [g == -1 for g in gs]
         f = [1]
         for m in range(1, len(self.coeffs)):

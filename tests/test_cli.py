@@ -327,7 +327,7 @@ def test_every_refusal_names_its_setting_or_says_fixed(capsys, argv, names):
 
 
 # Each q-series flag at its documented bound, which finishes within a budget
-# of at least 5x its time on a 2-core x86 (delta 0.8 s, j 0.5 s, cube root
+# of at least 5x its time on a 2-core x86 (delta 1.0 s, j 0.6 s, cube root
 # 1.2 s, theta 0.7 s, partitions 0.2 s), and one past it, which is refused
 # with that flag's own bound.  At 10^4 terms delta took 21 s with five
 # squarings, and theta's 1000 terms were refused by the j it asked for.
