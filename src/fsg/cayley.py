@@ -52,25 +52,20 @@ class CayleyStructure:
         chosen = []
         closure = {self.identity_index}
         for i in range(self.n):
-            if i in closure:
-                continue
-            chosen.append(i)
-            closure = self.closure(chosen)
-            if len(closure) == self.n:
-                return chosen
+            if i not in closure:
+                chosen.append(i)
+                closure = self.closure(chosen)
         return chosen  # trivial group: []
 
     def closure(self, gens):
-        """Indices of the subgroup generated by the element indices gens."""
-        seen = {self.identity_index}
+        """Breadth-first spanning tree of <gens>: y -> (x, j) with y = x * gens[j],
+        x inserted before y, and the identity inserted first, mapped to None."""
+        tree = {self.identity_index: None}
         queue = [self.identity_index]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g in gens:
+        for x in queue:             # the list grows as the search runs
+            for j, g in enumerate(gens):
                 y = self.table[x][g]
-                if y not in seen:
-                    seen.add(y)
+                if y not in tree:
+                    tree[y] = (x, j)
                     queue.append(y)
-        return seen
+        return tree

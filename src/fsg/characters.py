@@ -35,7 +35,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
-from .fields import is_prime, prime_factors
+from .fields import FieldSpec, is_prime
 from .perms import PermGroup, class_census
 
 CHARACTER_BOUND = 200
@@ -242,7 +242,10 @@ def _dixon_characters(G, class_of, column, reps, sizes, orders, m):
         raise InternalDefectError("class matrices failed to split the algebra")
 
     degrees, rows = [], []
-    zeta = _root_of_unity(ell, m)
+    if (ell - 1) % m:
+        raise InternalDefectError("prime does not support the required root")
+    # F_l is built directly: a lifting prime is not bound by FSG_MAX_FIELD_SIZE
+    zeta = pow(FieldSpec(ell, 1, (0, 1), ell).codes.generator(), (ell - 1) // m, ell)
     zeta_pows = [pow(zeta, k, ell) for k in range(m)]
     size_inv = [pow(s % ell, ell - 2, ell) for s in sizes]
     order_inv = {o: pow(o, ell - 2, ell) for o in set(orders)}
@@ -291,16 +294,6 @@ def _lifting_prime(m, n):
         if ell > LIFTING_PRIME_CAP:
             raise ValidationError(
                 f"no lifting prime = 1 mod {m} below {LIFTING_PRIME_CAP}")
-
-
-def _root_of_unity(ell, m):
-    if (ell - 1) % m:
-        raise InternalDefectError("prime does not support the required root")
-    for g in range(2, ell):
-        if all(pow(g, (ell - 1) // p, ell) != 1
-               for p in prime_factors(ell - 1)):
-            return pow(g, (ell - 1) // m, ell)
-    raise InternalDefectError("no primitive root found")
 
 
 # --------------------------------------------------- linear algebra over F_l

@@ -11,7 +11,6 @@ a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import count, product, takewhile
 from math import factorial, gcd, isqrt, log10, prod
 
@@ -199,18 +198,7 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
 
 
 # ---------------------------------------------------------------- projective
-# Vectors and matrices hold element codes, the arithmetic is FieldSpec.codes.
-
-
-def _mat_vec_apply(K, A, v):
-    return tuple(reduce(K.add, map(K.mul, row, v), 0) for row in A)
-
-
-def _elementary_matrix(K, n, i, j, lam):
-    """The identity with entry (i, j) set to lam: the transvection x_ij(lam)
-    for i != j, and diag(lam, 1, ...) for i = j = 0."""
-    return tuple(tuple(lam if (r, c) == (i, j) else K.one if r == c else 0
-                       for c in range(n)) for r in range(n))
+# Vectors hold element codes, the arithmetic is FieldSpec.codes.
 
 
 def projective_points(spec: FieldSpec, n):
@@ -229,11 +217,14 @@ def _normalize_point(K, v):
     return tuple(K.mul(s, c) for c in v)
 
 
-def _matrix_to_point_perm(K, mat, points, point_index):
+def _elementary_point_perm(K, i, j, lam, points, point_index):
+    """The points permuted by x_ij(lam), v_i -> v_i + lam*v_j, for i != j,
+    or by diag(lam, 1, ...), v_0 -> lam*v_0, for i = j = 0."""
     images = []
     for v in points:
-        w = _normalize_point(K, _mat_vec_apply(K, mat, v))
-        images.append(point_index[w])
+        w = list(v)
+        w[i] = K.mul(lam, v[i]) if i == j else K.add(v[i], K.mul(lam, v[j]))
+        images.append(point_index[_normalize_point(K, tuple(w))])
     return Permutation(images)
 
 
@@ -271,11 +262,11 @@ def projective_action(variant, n, spec: FieldSpec) -> PermGroup:
     expected = order_formula(FamilyOrderQuery(family, q, n)).order
 
     gen = multiplicative_generator(spec).code
-    mats = [_elementary_matrix(K, n, i, j, lam) for i in range(n) for j in range(n)
-            if i != j for lam in sorted({K.one, gen})]
+    maps = [(i, j, lam) for i in range(n) for j in range(n) if i != j
+            for lam in sorted({K.one, gen})]
     if variant == "PGL" and q > 2:
-        mats.append(_elementary_matrix(K, n, 0, 0, gen))
-    perms = [_matrix_to_point_perm(K, m, points, point_index) for m in mats]
+        maps.append((0, 0, gen))
+    perms = [_elementary_point_perm(K, *m, points, point_index) for m in maps]
     G = group_from_generators(num_points, perms)
     if G.order() != expected:
         raise InternalDefectError(

@@ -160,13 +160,17 @@ def euler_function(num_terms) -> IntegerSeries:
     return IntegerSeries(0, tuple(c))
 
 
+def _check_terms(num_terms, lowest, bound, what):
+    """Refuse a term count below lowest or past the fixed bound."""
+    if num_terms < lowest:
+        raise ValidationError(f"the {what} needs num_terms >= {lowest}")
+    if num_terms > bound:
+        raise ResourceLimitError(f"{what} capped at the fixed bound of {bound} terms")
+
+
 def delta_expansion(num_terms) -> IntegerSeries:
     """Delta = q * prod (1-q^n)^24, exact through q^num_terms."""
-    if num_terms < 1:
-        raise ValidationError("the delta expansion needs num_terms >= 1")
-    if num_terms > DELTA_TERM_BOUND:
-        raise ResourceLimitError(
-            f"delta expansion capped at the fixed bound of {DELTA_TERM_BOUND} terms")
+    _check_terms(num_terms, 1, DELTA_TERM_BOUND, "delta expansion")
     return (euler_function(num_terms - 1) ** 24).shift(1)
 
 
@@ -183,11 +187,7 @@ def eisenstein_e4(num_terms) -> IntegerSeries:
 
 def j_expansion(num_terms) -> IntegerSeries:
     """j = E4^3 / Delta, exact from q^-1 through q^num_terms."""
-    if num_terms < -1:
-        raise ValidationError("the j expansion needs num_terms >= -1")
-    if num_terms > J_TERM_BOUND:
-        raise ResourceLimitError(
-            f"j expansion capped at the fixed bound of {J_TERM_BOUND} terms")
+    _check_terms(num_terms, -1, J_TERM_BOUND, "j expansion")
     n = num_terms + 1
     e4 = eisenstein_e4(n)
     e4_cubed = e4 * e4 * e4
@@ -201,22 +201,14 @@ def j_cube_root(num_terms) -> IntegerSeries:
     """S = (q j)^(1/3) = 1 + 248q + 4124q^2 + ..., the cube root of j with
     its fractional prefactor q^(-1/3) stripped off so that S is an integer
     series; a rational power like any other."""
-    if num_terms < 0:
-        raise ValidationError("the cube root needs num_terms >= 0")
-    if num_terms > J_TERM_BOUND:
-        raise ResourceLimitError(
-            f"cube root capped at the fixed bound of {J_TERM_BOUND} terms")
+    _check_terms(num_terms, 0, J_TERM_BOUND, "cube root")
     return j_expansion(num_terms).shift(1) ** Fraction(1, 3)
 
 
 def leech_theta_prefix(num_terms) -> IntegerSeries:
     """Coefficients N(2m) of the Leech theta series, as the q-series
     (J + 24) * Delta with J = j - 744, exact through q^num_terms."""
-    if num_terms < 0:
-        raise ValidationError("the theta prefix needs num_terms >= 0")
-    if num_terms > J_TERM_BOUND:
-        raise ResourceLimitError(
-            f"theta prefix capped at the fixed bound of {J_TERM_BOUND} terms")
+    _check_terms(num_terms, 0, J_TERM_BOUND, "theta prefix")
     # j through q^(n-1) and Delta through q^(n+1) fix the product through q^n
     return (j_expansion(num_terms - 1) - 720) * delta_expansion(num_terms + 1)
 

@@ -42,71 +42,67 @@ class SporadicEntry:
         }
 
 
-def _f(*pairs):
-    return tuple(pairs)
-
-
 _RAW = [
     ("M11", "Mathieu", "mathieu",
-     _f((2, 4), (3, 2), (5, 1), (11, 1)), "Mathieu", 1861),
+     ((2, 4), (3, 2), (5, 1), (11, 1)), "Mathieu", 1861),
     ("M12", "Mathieu", "mathieu",
-     _f((2, 6), (3, 3), (5, 1), (11, 1)), "Mathieu", 1861),
+     ((2, 6), (3, 3), (5, 1), (11, 1)), "Mathieu", 1861),
     ("J1", "Janko", "pariah",
-     _f((2, 3), (3, 1), (5, 1), (7, 1), (11, 1), (19, 1)), "Janko", 1965),
+     ((2, 3), (3, 1), (5, 1), (7, 1), (11, 1), (19, 1)), "Janko", 1965),
     ("M22", "Mathieu", "mathieu",
-     _f((2, 7), (3, 2), (5, 1), (7, 1), (11, 1)), "Mathieu", 1873),
+     ((2, 7), (3, 2), (5, 1), (7, 1), (11, 1)), "Mathieu", 1873),
     ("J2", "Hall-Janko", "leech",
-     _f((2, 7), (3, 3), (5, 2), (7, 1)), "Hall, Janko", 1968),
+     ((2, 7), (3, 3), (5, 2), (7, 1)), "Hall, Janko", 1968),
     ("M23", "Mathieu", "mathieu",
-     _f((2, 7), (3, 2), (5, 1), (7, 1), (11, 1), (23, 1)), "Mathieu", 1873),
+     ((2, 7), (3, 2), (5, 1), (7, 1), (11, 1), (23, 1)), "Mathieu", 1873),
     ("HS", "Higman-Sims", "leech",
-     _f((2, 9), (3, 2), (5, 3), (7, 1), (11, 1)), "Higman, Sims", 1968),
+     ((2, 9), (3, 2), (5, 3), (7, 1), (11, 1)), "Higman, Sims", 1968),
     ("J3", "Janko", "pariah",
-     _f((2, 7), (3, 5), (5, 1), (17, 1), (19, 1)), "Janko", 1968),
+     ((2, 7), (3, 5), (5, 1), (17, 1), (19, 1)), "Janko", 1968),
     ("M24", "Mathieu", "mathieu",
-     _f((2, 10), (3, 3), (5, 1), (7, 1), (11, 1), (23, 1)), "Mathieu", 1873),
+     ((2, 10), (3, 3), (5, 1), (7, 1), (11, 1), (23, 1)), "Mathieu", 1873),
     ("McL", "McLaughlin", "leech",
-     _f((2, 7), (3, 6), (5, 3), (7, 1), (11, 1)), "McLaughlin", 1969),
+     ((2, 7), (3, 6), (5, 3), (7, 1), (11, 1)), "McLaughlin", 1969),
     ("He", "Held", "monster",
-     _f((2, 10), (3, 3), (5, 2), (7, 3), (17, 1)), "Held", 1969),
+     ((2, 10), (3, 3), (5, 2), (7, 3), (17, 1)), "Held", 1969),
     ("Ru", "Rudvalis", "pariah",
-     _f((2, 14), (3, 3), (5, 3), (7, 1), (13, 1), (29, 1)), "Rudvalis", 1972),
+     ((2, 14), (3, 3), (5, 3), (7, 1), (13, 1), (29, 1)), "Rudvalis", 1972),
     ("Suz", "Suzuki", "leech",
-     _f((2, 13), (3, 7), (5, 2), (7, 1), (11, 1), (13, 1)), "Suzuki", 1969),
+     ((2, 13), (3, 7), (5, 2), (7, 1), (11, 1), (13, 1)), "Suzuki", 1969),
     ("ON", "O'Nan", "pariah",
-     _f((2, 9), (3, 4), (5, 1), (7, 3), (11, 1), (19, 1), (31, 1)), "O'Nan", 1973),
+     ((2, 9), (3, 4), (5, 1), (7, 3), (11, 1), (19, 1), (31, 1)), "O'Nan", 1973),
     ("Co3", "Conway", "leech",
-     _f((2, 10), (3, 7), (5, 3), (7, 1), (11, 1), (23, 1)), "Conway", 1968),
+     ((2, 10), (3, 7), (5, 3), (7, 1), (11, 1), (23, 1)), "Conway", 1968),
     ("Co2", "Conway", "leech",
-     _f((2, 18), (3, 6), (5, 3), (7, 1), (11, 1), (23, 1)), "Conway", 1968),
+     ((2, 18), (3, 6), (5, 3), (7, 1), (11, 1), (23, 1)), "Conway", 1968),
     ("Fi22", "Fischer", "monster",
-     _f((2, 17), (3, 9), (5, 2), (7, 1), (11, 1), (13, 1)), "Fischer", 1971),
+     ((2, 17), (3, 9), (5, 2), (7, 1), (11, 1), (13, 1)), "Fischer", 1971),
     ("HN", "Harada-Norton", "monster",
-     _f((2, 14), (3, 6), (5, 6), (7, 1), (11, 1), (19, 1)), "Harada, Norton", 1973),
+     ((2, 14), (3, 6), (5, 6), (7, 1), (11, 1), (19, 1)), "Harada, Norton", 1973),
     ("Ly", "Lyons", "pariah",
-     _f((2, 8), (3, 7), (5, 6), (7, 1), (11, 1), (31, 1), (37, 1), (67, 1)),
+     ((2, 8), (3, 7), (5, 6), (7, 1), (11, 1), (31, 1), (37, 1), (67, 1)),
      "Lyons", 1969),
     ("Th", "Thompson", "monster",
-     _f((2, 15), (3, 10), (5, 3), (7, 2), (13, 1), (19, 1), (31, 1)),
+     ((2, 15), (3, 10), (5, 3), (7, 2), (13, 1), (19, 1), (31, 1)),
      "Thompson", 1973),
     ("Fi23", "Fischer", "monster",
-     _f((2, 18), (3, 13), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1), (23, 1)),
+     ((2, 18), (3, 13), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1), (23, 1)),
      "Fischer", 1971),
     ("Co1", "Conway", "leech",
-     _f((2, 21), (3, 9), (5, 4), (7, 2), (11, 1), (13, 1), (23, 1)),
+     ((2, 21), (3, 9), (5, 4), (7, 2), (11, 1), (13, 1), (23, 1)),
      "Conway, Leech", 1968),
     ("J4", "Janko", "pariah",
-     _f((2, 21), (3, 3), (5, 1), (7, 1), (11, 3), (23, 1), (29, 1), (31, 1),
-        (37, 1), (43, 1)), "Janko", 1975),
+     ((2, 21), (3, 3), (5, 1), (7, 1), (11, 3), (23, 1), (29, 1), (31, 1),
+      (37, 1), (43, 1)), "Janko", 1975),
     ("Fi24'", "Fischer", "monster",
-     _f((2, 21), (3, 16), (5, 2), (7, 3), (11, 1), (13, 1), (17, 1), (23, 1),
-        (29, 1)), "Fischer", 1971),
+     ((2, 21), (3, 16), (5, 2), (7, 3), (11, 1), (13, 1), (17, 1), (23, 1),
+      (29, 1)), "Fischer", 1971),
     ("B", "Baby Monster", "monster",
-     _f((2, 41), (3, 13), (5, 6), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1),
-        (23, 1), (31, 1), (47, 1)), "Fischer, Leon, Sims", 1973),
+     ((2, 41), (3, 13), (5, 6), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+      (23, 1), (31, 1), (47, 1)), "Fischer, Leon, Sims", 1973),
     ("M", "Monster", "monster",
-     _f((2, 46), (3, 20), (5, 9), (7, 6), (11, 2), (13, 3), (17, 1), (19, 1),
-        (23, 1), (29, 1), (31, 1), (41, 1), (47, 1), (59, 1), (71, 1)),
+     ((2, 46), (3, 20), (5, 9), (7, 6), (11, 2), (13, 3), (17, 1), (19, 1),
+      (23, 1), (29, 1), (31, 1), (41, 1), (47, 1), (59, 1), (71, 1)),
      "Fischer, Griess", 1973),
 ]
 

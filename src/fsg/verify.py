@@ -168,7 +168,6 @@ def _check_character_tables():
 
 
 def _check_20160():
-    from .fields import make_field
     from .matgroups import projective_action
     from .perms import element_order_histogram
     from .zoo import alternating
@@ -251,7 +250,7 @@ def _check_group_properties():
 
 def _check_one_field(q):
     from .fields import (element_multiplicative_order, frobenius_order,
-                         make_field, multiplicative_generator)
+                         multiplicative_generator)
     p, f = prime_power(q)
     F = make_field(p, f)
     els = list(F.elements())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .cayley import CayleyStructure
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
@@ -293,16 +293,14 @@ def power_action(A, B, k):
     return ActionMap(A, B, tuple(phi for _ in B.generators))
 
 
-def semidirect_product(A, B, action: ActionMap) -> PermGroup:
+def semidirect_product(action: ActionMap) -> PermGroup:
     """A x| B on |A|*|B| points (pairs of element indices, left translation).
 
-    The trivial action gives the direct product.  Consistency of the
-    generator assignment with B's relations is certified by the order
-    check |A x| B| = |A|*|B|.
+    B = action.acting acts on A = action.target; the trivial action gives
+    the direct product.  Consistency of the generator assignment with B's
+    relations is certified by the order check |A x| B| = |A|*|B|.
     """
-    if action.target is not A or action.acting is not B:
-        raise ValidationError("action was built for different groups")
-    ca, cb = action.structure, CayleyStructure(B)
+    ca, cb = action.structure, CayleyStructure(action.acting)
     na, nb = ca.n, cb.n
     perms = []
     for ga in ca.generator_indices():
@@ -330,20 +328,23 @@ def semidirect_product(A, B, action: ActionMap) -> PermGroup:
 
 
 def direct_product(A, B):
-    return semidirect_product(A, B, trivial_action(A, B))
+    return semidirect_product(trivial_action(A, B))
 
 
 # ------------------------------------------------------------- automorphisms
 
 AUTOMORPHISM_BOUND = 64
+AUTOMORPHISM_CANDIDATE_BOUND = 2 * 10 ** 6
 
 
 def automorphism_perms(G):
     """All automorphisms of G as permutations of its element list.
 
     Tries every tuple of generator images, each of its generator's element
-    order; every candidate map is verified against the full multiplication
-    table, so the order pruning cannot produce false positives.
+    order, at most AUTOMORPHISM_CANDIDATE_BOUND tuples, each extended along
+    the generators' spanning tree; every bijective candidate map is verified
+    against the full multiplication table, so the order pruning cannot
+    produce false positives.
     """
     n = G.order()
     if n > AUTOMORPHISM_BOUND:
@@ -355,37 +356,20 @@ def automorphism_perms(G):
     for i in range(cs.n):
         by_order.setdefault(cs.orders[i], []).append(i)
     candidates = [by_order[cs.orders[g]] for g in gens]
+    if (tries := prod(map(len, candidates))) > AUTOMORPHISM_CANDIDATE_BOUND:
+        raise ResourceLimitError(f"the automorphism search is limited to the fixed "
+                                 f"bound of {AUTOMORPHISM_CANDIDATE_BOUND} candidate "
+                                 f"generator images; group has {tries}")
 
+    table, e = cs.table, cs.identity_index
+    edges = [(y, x, j) for y, (x, j) in list(cs.closure(gens).items())[1:]]
     found = []
-
-    def build_map(images):
-        """Extend gen -> image to a candidate map by BFS, or None."""
-        mapping = {cs.identity_index: cs.identity_index}
-        queue = [cs.identity_index]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g, img in zip(gens, images):
-                y = cs.table[x][g]
-                fy = cs.table[mapping[x]][img]
-                if y in mapping:
-                    if mapping[y] != fy:
-                        return None
-                else:
-                    mapping[y] = fy
-                    queue.append(y)
-        if len(mapping) != cs.n:
-            return None
-        phi = [mapping[i] for i in range(cs.n)]
-        if sorted(phi) != list(range(cs.n)) or not cs.is_automorphism(phi):
-            return None
-        return tuple(phi)
-
     for images in product(*candidates):
-        phi = build_map(images)
-        if phi is not None:
-            found.append(phi)
+        phi = [e] * n
+        for y, x, j in edges:
+            phi[y] = table[phi[x]][images[j]]
+        if len(set(phi)) == n and cs.is_automorphism(phi):
+            found.append(tuple(phi))
     return cs, found
 
 
@@ -430,7 +414,7 @@ def nonabelian_pq_group(p, q):
     k = next(k for k in range(2, q)
              if pow(k, p, q) == 1 and all(pow(k, d, q) != 1 for d in range(1, p)))
     A, B = cyclic(q), cyclic(p)
-    return semidirect_product(A, B, power_action(A, B, k))
+    return semidirect_product(power_action(A, B, k))
 
 
 # ------------------------------------------------------------------ counting

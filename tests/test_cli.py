@@ -380,3 +380,58 @@ def test_enumeration_setting_caps_character_tables(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "FSG_ENUMERATION_BOUND" in err, argv
     assert run_json(capsys, "chartab", "--name", "sym", "--n", "4")["group_order"] == "24"
+
+
+# zoo --aut at each named family's largest member of order <= 64, and
+# zoo --holomorph at those that are abelian.  Each finishes within a budget
+# of at least 5x its time on a 2-core x86 (dihedral 32 and dicyclic 16 about
+# 0.4 s, the rest under 0.1 s) or is refused with exit 3 by a fixed bound;
+# without the candidate bound, clifford 5 did not finish.  The largest
+# members that finish, clifford 4 and clifford_even 5 (1,760,000 candidates,
+# about 6 s each), stay out of tier-1.  psl3 and pgl3 have no member of
+# order <= 64, and elementary_abelian takes a (p, m) pair that --n cannot.
+AUT_SWEEP = [
+    (["--aut", "cyclic", "--n", "64"], 0, 1),
+    (["--aut", "dihedral", "--n", "32"], 0, 3),
+    (["--aut", "dicyclic", "--n", "16"], 0, 3),
+    (["--aut", "clifford", "--n", "5"], 3, 2),
+    (["--aut", "clifford_even", "--n", "6"], 3, 2),
+    (["--aut", "symmetric", "--n", "4"], 0, 1),
+    (["--aut", "alternating", "--n", "5"], 0, 1),
+    (["--aut", "vierergruppe"], 0, 1),
+    (["--aut", "quaternion"], 0, 1),
+    (["--aut", "frobenius21"], 0, 1),
+    (["--aut", "psl2", "--n", "5"], 0, 1),
+    (["--aut", "pgl2", "--n", "4"], 0, 1),
+    (["--holomorph", "cyclic", "--n", "64"], 0, 1),
+    (["--holomorph", "vierergruppe"], 0, 1),
+]
+
+
+@pytest.mark.parametrize("argv, expected, budget", AUT_SWEEP,
+                         ids=[" ".join(a) for a, *_ in AUT_SWEEP])
+def test_automorphism_bound_sweep(capsys, argv, expected, budget):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zoo", *argv)
+    assert time.perf_counter() - start < budget
+    assert "Traceback" not in err
+    if expected == 0:
+        assert code == 0 and err == "" and json.loads(out)
+    else:
+        assert (code, out) == (3, "") and "fixed bound of 2000000" in err, err
+
+
+def test_character_tables_ignore_the_field_size_setting(capsys, monkeypatch):
+    # D_50 lifts over F_101; its root of unity comes from the prime field's
+    # primitive root without make_field, which would refuse 101 here
+    from fsg.characters import _lifting_prime
+    from fsg.errors import ResourceLimitError
+    from fsg.fields import make_field
+    assert _lifting_prime(50, 100) == 101
+    argv = ("chartab", "--name", "dihedral", "--n", "50")
+    monkeypatch.delenv("FSG_MAX_FIELD_SIZE", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("FSG_MAX_FIELD_SIZE", "100")
+    with pytest.raises(ResourceLimitError):
+        make_field(101)
+    assert run(capsys, *argv) == unset and unset[0] == 0

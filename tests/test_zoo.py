@@ -1,5 +1,7 @@
 """Named families, products, automorphisms, catalog and abelian counting."""
 
+import time
+
 import pytest
 
 from fsg.cayley import CayleyStructure
@@ -90,11 +92,11 @@ def test_clifford2_matches_quaternion_invariants():
 
 def test_semidirect_products():
     A, B = cyclic(3), cyclic(2)
-    s3 = semidirect_product(A, B, power_action(A, B, -1))
+    s3 = semidirect_product(power_action(A, B, -1))
     assert s3.order() == 6 and not s3.is_abelian()
 
     A, B = cyclic(7), cyclic(3)
-    g21 = semidirect_product(A, B, power_action(A, B, 2))
+    g21 = semidirect_product(power_action(A, B, 2))
     assert g21.order() == 21 and not g21.is_abelian()
     # same invariants as the coded frobenius21 realization
     assert conjugacy_classes(g21).class_sizes == \
@@ -162,6 +164,30 @@ def test_holomorphs():
     assert h3.order() == 6 and not h3.is_abelian()
     with pytest.raises(ValidationError):
         holomorph(symmetric(3))
+
+
+def test_closure_is_a_breadth_first_spanning_tree():
+    cs = CayleyStructure(dicyclic(3))
+    gens = cs.minimal_generating_indices()
+    tree = cs.closure(gens)
+    reached = list(tree)
+    assert len(tree) == cs.n
+    assert reached[0] == cs.identity_index and tree[cs.identity_index] is None
+    for y, (x, j) in list(tree.items())[1:]:
+        assert cs.table[x][gens[j]] == y and reached.index(x) < reached.index(y)
+    # one generator's tree is its cyclic subgroup
+    assert len(cs.closure(gens[:1])) == cs.orders[gens[0]]
+
+
+def test_holomorph_shares_the_candidate_bound():
+    # E(2, 6) has order 64, inside the order bound, but 63^6 tuples of
+    # generator images; like zoo --aut clifford --n 5 in tests/test_cli.py,
+    # it is refused before the search
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match="fixed bound of 2000000 candidate generator images"):
+        holomorph(elementary_abelian(2, 6))
+    assert time.perf_counter() - start < 2
 
 
 def test_nonabelian_pq():
