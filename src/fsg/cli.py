@@ -3,13 +3,14 @@ with machine-readable JSON output (stable key order, big integers as
 decimal strings) or a plain text rendering.
 
 Exit codes: 0 success, 2 validation/usage error, 3 resource-bound
-refusal, 70 internal defect.
+refusal, 70 internal defect, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DEFECT = 70
+EXIT_PIPE = 141         # 128 + SIGPIPE, as a shell reports a killed producer
 
 
 def _emit(payload, fmt):
@@ -356,6 +358,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.fn(args)
+        if payload is not None and not isinstance(payload, int):
+            _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: devnull takes the rest, so exit's flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -368,11 +377,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - defect contract
         print(f"internal defect: {exc!r}", file=sys.stderr)
         return EXIT_DEFECT
-    if isinstance(payload, int):
-        return payload
-    if payload is not None:
-        _emit(payload, args.format)
-    return EXIT_OK
+    return payload if isinstance(payload, int) else EXIT_OK
 
 
 if __name__ == "__main__":

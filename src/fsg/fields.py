@@ -10,16 +10,17 @@ An element is an int code, its index in :meth:`FieldSpec.elements`: the
 f coefficients (low degree first) read as base-p digits, the constant one
 most significant.  For f = 1 the code is the residue and arithmetic is
 plain int arithmetic mod p.  For f > 1 the polynomial path decodes,
-multiplies and reduces until a field with q <= 2^16 has served q
-operations; then it builds exp, log and Zech-logarithm tables (K. Huber,
-IEEE Trans. IT 36, 1990) and every later operation is a lookup.  A
-one-operation caller never pays for the O(q) build; a sweep pays once.
+multiplies and reduces until a field with q <= 2^16 has made q products
+(a power counts each of its products, an add or neg counts one); then it
+builds exp, log and Zech-logarithm tables (K. Huber, IEEE Trans. IT 36,
+1990) and every later operation is a lookup: a caller of fewer than q
+products never pays for the O(q) build, a sweep pays once.
 
 Fields and elements are immutable and can be shared between threads.
 The lazy tables are safe: they are complete before one attribute
 assignment publishes them, so a thread sees no tables (and takes the
-polynomial path, with the same answers) or whole ones; and operations
-are counted by next() on an itertools.count, a single C call under the
+polynomial path, with the same answers) or whole ones; and products are
+counted one next() each on an itertools.count, a single C call under the
 interpreter lock, so exactly one thread sees the q-th and builds them.
 """
 
@@ -158,13 +159,14 @@ class _Codes:
 
     def generator(self):
         """The smallest code of multiplicative order q-1: g^((q-1)/r) != 1
-        for every prime r | q-1.  Searched once, then kept."""
+        for every prime r | q-1.  Searched once, then kept; the search's
+        powers are uncounted, so it never starts the table build."""
         if self._generator is None:
             n = self.q - 1
             radicals = prime_factors(n)
             self._generator = next(
                 g for g in range(1, self.q)
-                if all(self.pow(g, n // r) != self.one for r in radicals))
+                if all(self._pow(g, n // r) != self.one for r in radicals))
         return self._generator
 
 
@@ -183,6 +185,8 @@ class _PrimeCodes(_Codes):
     def pow(self, x, k):
         return pow(x, k, self.p)
 
+    _pow = pow
+
 
 class _ExtensionCodes(_Codes):
     """GF(p^f), f > 1: the polynomial path until the tables are built.
@@ -200,10 +204,13 @@ class _ExtensionCodes(_Codes):
         self.tables = None
         self._served = count(1)
 
-    def _serve(self):
-        """Count an operation on the polynomial path; the q-th builds tables."""
-        if self.q <= TABLE_MAX_SIZE and next(self._served) == self.q:
-            self._build_tables()
+    def _serve(self, muls=1):
+        """Count muls products on the polynomial path; the q-th builds tables."""
+        if self.q <= TABLE_MAX_SIZE:
+            served = self._served
+            for _ in range(min(muls, self.q)):
+                if next(served) == self.q:
+                    self._build_tables()
 
     def _poly_mul(self, x, y):
         b = self.coeffs(y)
@@ -214,7 +221,7 @@ class _ExtensionCodes(_Codes):
                     prod[i + j] += ai * bj
         return self.encode(_poly_mod(prod, self.modulus, self.p))
 
-    def _poly_pow(self, x, k):
+    def _pow(self, x, k):
         out = self.one
         while k:
             if k & 1:
@@ -277,10 +284,11 @@ class _ExtensionCodes(_Codes):
         return exp[log[x] + log[y]]
 
     def pow(self, x, k):
+        if self.tables is None:
+            self._serve(k.bit_length() + k.bit_count())     # _pow's products
         t = self.tables
         if t is None:
-            self._serve()
-            return self._poly_pow(x, k)
+            return self._pow(x, k)
         if not x:
             return 0 if k else self.one
         return t[0][t[1][x] * k % (self.q - 1)]

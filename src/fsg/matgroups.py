@@ -11,8 +11,9 @@ a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product, takewhile
-from math import factorial, gcd, isqrt, log10, prod
+from functools import lru_cache
+from itertools import chain, count, cycle, product, repeat, takewhile
+from math import factorial, gcd, isqrt, log10
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import FieldSpec, is_prime, multiplicative_generator, prime_power
@@ -22,20 +23,46 @@ PROJECTIVE_POINT_BOUND = 5000
 ORDER_DIGIT_BOUND = 4300        # Python's default limit for int-to-str
 _ORDER_LIMIT = 10 ** ORDER_DIGIT_BOUND
 
-FAMILY_TAGS = (
-    "GL", "SL", "PSL", "PSp", "POmega_odd", "POmega_even_plus",
-    "POmega_even_minus", "PSU", "G2", "F4", "E6", "E7", "E8",
-    "2An", "2Dn", "3D4", "2E6", "2B2", "2G2", "2F4",
-)
-
-# The rankless families, each with the degree of its order as a polynomial
-# in q; the one list of them, read by the order formula and the census.
-_RANKLESS_DEGREES = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248,
-                     "3D4": 28, "2E6": 78, "2B2": 5, "2G2": 7, "2F4": 26}
+# One row per Lie-type family: (N, factors, centre).  With base b = q (sqrt(q)
+# for PSU), |G| = b^N prod(b^d - e) / gcd(k, b^c - s) over the factors (d, e)
+# and the centre (k, c, s); a factor with d < 0 instead divides the product
+# before it, exactly, by b^-d - e.  The order has degree N + sum(d) in b
+# (Carter, Simple Groups of Lie Type, Wiley 1972).  A ranked family maps the
+# rank n to its row, the factors lazy, so N meets the bound before they do.
+_RANKED = {
+    "GL": lambda n: (n * (n - 1) // 2, zip(range(1, n + 1), repeat(1)), (1, 1, 1)),
+    "SL": lambda n: (n * (n - 1) // 2, zip(range(2, n + 1), repeat(1)), (1, 1, 1)),
+    "PSL": lambda n: (n * (n - 1) // 2, zip(range(2, n + 1), repeat(1)), (n, 1, 1)),
+    # |PSp_2n(q)| = |Omega_2n+1(q)| (Artin 1955), so POmega_odd shares this row
+    "PSp": lambda n: (n * n, zip(range(2, 2 * n + 1, 2), repeat(1)), (2, 1, 1)),
+    "POmega_even_plus": lambda n: (n * (n - 1), chain(
+        zip(range(2, 2 * n - 1, 2), repeat(1)), ((n, 1),)), (4, n, 1)),
+    "POmega_even_minus": lambda n: (n * (n - 1), chain(
+        zip(range(2, 2 * n - 1, 2), repeat(1)), ((n, -1),)), (4, n, -1)),
+    "PSU": lambda n: (n * (n - 1) // 2,
+                      zip(range(2, n + 1), cycle((1, -1))), (n, 1, -1)),
+}
+_RANKED["POmega_odd"] = _RANKED["PSp"]
+_RANKLESS = {
+    "G2": (6, ((6, 1), (2, 1)), (1, 1, 1)),
+    "F4": (24, ((12, 1), (8, 1), (6, 1), (2, 1)), (1, 1, 1)),
+    "E6": (36, ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)), (3, 1, 1)),
+    "E7": (63, ((18, 1), (14, 1), (12, 1), (10, 1), (8, 1), (6, 1), (2, 1)),
+           (2, 1, 1)),
+    "E8": (120, ((30, 1), (24, 1), (20, 1), (18, 1), (14, 1), (12, 1), (8, 1),
+                 (2, 1)), (1, 1, 1)),
+    # q^8 + q^4 + 1 = (q^12 - 1) / (q^4 - 1)
+    "3D4": (12, ((12, 1), (-4, 1), (6, 1), (2, 1)), (1, 1, 1)),
+    "2E6": (36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), (3, 1, -1)),
+    "2B2": (2, ((2, -1), (1, 1)), (1, 1, 1)),
+    "2G2": (3, ((3, -1), (1, 1)), (1, 1, 1)),
+    "2F4": (12, ((6, -1), (4, 1), (3, -1), (1, 1)), (1, 1, 1)),
+}
 
 # Twisted tags that name an untwisted family: tag -> (family, rank shift).
 # 2A_n(q) is PSU_{n+1}(q) and 2D_n(q) is the minus-type Omega_2n(q).
 TWISTED_ALIASES = {"2An": ("PSU", 1), "2Dn": ("POmega_even_minus", 0)}
+FAMILY_TAGS = (*_RANKED, *_RANKLESS, *TWISTED_ALIASES)
 
 
 def _resolve(family, n):
@@ -75,7 +102,7 @@ class FamilyOrderQuery:
             raise ValidationError(
                 "POmega_odd is not supported in characteristic 2: "
                 "Omega_2n+1(2^k) is isomorphic to Sp_2n(2^k), so ask for PSp")
-        if self.family not in _RANKLESS_DEGREES and self.n < 1:
+        if self.family not in _RANKLESS and self.n < 1:
             raise ValidationError(f"{self.family} needs a rank parameter n >= 1")
 
 
@@ -90,18 +117,9 @@ class OrderResult:
     def as_dict(self):
         d = {"family": self.family, "q": self.q, "order": str(self.order),
              "exceptions": list(self.exceptions)}
-        if self.family not in _RANKLESS_DEGREES:
+        if self.family not in _RANKLESS:
             d["n"] = self.n
         return d
-
-
-def _minus_one(q, exponents):
-    """The product of q^e - 1 over the exponents."""
-    return prod(q ** e - 1 for e in exponents)
-
-
-def _gl_order(n, q):
-    return q ** (n * (n - 1) // 2) * _minus_one(q, range(1, n + 1))
 
 
 def _non_simple_notes(family, n, q):
@@ -126,15 +144,11 @@ def _non_simple_notes(family, n, q):
     return tuple(notes)
 
 
+@lru_cache(maxsize=None)   # order_formula asks only where N is in bounds: n <= 170
 def _degree(fam, n):
     """The degree of the order as a polynomial in q (in sqrt(q) for PSU)."""
-    if fam in _RANKLESS_DEGREES:
-        return _RANKLESS_DEGREES[fam]
-    if fam in ("PSp", "POmega_odd"):
-        return n * (2 * n + 1)
-    if fam in ("POmega_even_plus", "POmega_even_minus"):
-        return n * (2 * n - 1)
-    return n * n if fam == "GL" else n * n - 1
+    N, factors, _ = _RANKLESS.get(fam) or _RANKED[fam](n)
+    return N + sum(d for d, _ in factors)
 
 
 def order_formula(query: FamilyOrderQuery) -> OrderResult:
@@ -142,53 +156,20 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
 
     An order of more than the fixed ORDER_DIGIT_BOUND decimal digits is
     refused.  It lies within a factor 10^10 of base^degree, so a degree past
-    the bound refuses it before any power of q is formed."""
+    the bound refuses it before any power of q is formed, and an N past it
+    before any factor is made."""
     fam, n = _resolve(query.family, query.n)
     q = query.q
-    base = _exact_sqrt(q) if fam == "PSU" else q
-    if _degree(fam, n) > (ORDER_DIGIT_BOUND + 10) / log10(base):
+    b = _exact_sqrt(q) if fam == "PSU" else q
+    limit = (ORDER_DIGIT_BOUND + 10) / log10(b)
+    N, factors, (k, c, s) = _RANKLESS.get(fam) or _RANKED[fam](n)
+    if N > limit or _degree(fam, n) > limit:
         order = _ORDER_LIMIT            # refused below, no power formed
-    elif fam == "GL":
-        order = _gl_order(n, q)
-    elif fam == "SL":
-        order = _gl_order(n, q) // (q - 1)
-    elif fam == "PSL":
-        order = _gl_order(n, q) // (q - 1) // gcd(n, q - 1)
-    elif fam in ("PSp", "POmega_odd"):
-        # |PSp_2n(q)| = |Omega_2n+1(q)| (Artin 1955)
-        order = q ** (n * n) * _minus_one(q, range(2, 2 * n + 1, 2)) \
-            // gcd(2, q - 1)
-    elif fam in ("POmega_even_plus", "POmega_even_minus"):
-        last = q ** n - 1 if fam == "POmega_even_plus" else q ** n + 1
-        order = q ** (n * (n - 1)) * _minus_one(q, range(2, 2 * n - 1, 2)) \
-            * last // gcd(4, last)
-    elif fam == "PSU":
-        q0 = _exact_sqrt(q)
-        order = q0 ** (n * (n - 1) // 2) \
-            * prod(q0 ** i - (-1) ** i for i in range(2, n + 1)) // gcd(n, q0 + 1)
-    elif fam == "G2":
-        order = q ** 6 * _minus_one(q, (6, 2))
-    elif fam == "F4":
-        order = q ** 24 * _minus_one(q, (12, 8, 6, 2))
-    elif fam == "E6":
-        order = q ** 36 * _minus_one(q, (12, 9, 8, 6, 5, 2)) // gcd(3, q - 1)
-    elif fam == "E7":
-        order = q ** 63 * _minus_one(q, (18, 14, 12, 10, 8, 6, 2)) // gcd(2, q - 1)
-    elif fam == "E8":
-        order = q ** 120 * _minus_one(q, (30, 24, 20, 18, 14, 12, 8, 2))
-    elif fam == "3D4":
-        order = q ** 12 * (q ** 8 + q ** 4 + 1) * _minus_one(q, (6, 2))
-    elif fam == "2E6":
-        order = q ** 36 * _minus_one(q, (12, 8, 6, 2)) * (q ** 9 + 1) \
-            * (q ** 5 + 1) // gcd(3, q + 1)
-    elif fam == "2B2":
-        order = q ** 2 * (q ** 2 + 1) * (q - 1)
-    elif fam == "2G2":
-        order = q ** 3 * (q ** 3 + 1) * (q - 1)
-    elif fam == "2F4":
-        order = q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
-    else:  # pragma: no cover
-        raise InternalDefectError(f"unhandled family {fam}")
+    else:
+        order = b ** N
+        for d, e in factors:
+            order = order * (b ** d - e) if d > 0 else order // (b ** -d - e)
+        order //= gcd(k, b ** c - s)
     if order >= _ORDER_LIMIT:
         raise ResourceLimitError(
             f"the order of {query.family} has more than the fixed bound of "
@@ -309,7 +290,7 @@ CENSUS_FAMILIES = (
     ("POmega_odd", 3, "POmega_{odd}({q})"),
     ("POmega_even_plus", 4, "POmega+_{even}({q})"),
     ("POmega_even_minus", 4, "POmega-_{even}({q})"),
-) + tuple((tag, None, tag + "({q})") for tag in _RANKLESS_DEGREES)
+) + tuple((tag, None, tag + "({q})") for tag in _RANKLESS)
 
 
 def _family_members(family, n):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import time
 
-from .fields import make_field, prime_power
+from .errors import ValidationError
+from .fields import (element_multiplicative_order, frobenius_order, is_prime,
+                     make_field, multiplicative_generator, prime_factors,
+                     prime_power)
 
 EXPECTED_NONABELIAN_CENSUS_10000 = {
     60: ("Alt_5", "PSL_2(4)", "PSL_2(5)"),
@@ -205,7 +208,6 @@ def _suite_groups():
 
 
 def _check_group_properties():
-    from .fields import is_prime, prime_factors
     from .perms import (EXHAUSTIVE_CLASS_BOUND, center_order, closure_order,
                         conjugacy_classes, element_order_histogram, is_simple)
     problems = []
@@ -249,8 +251,6 @@ def _check_group_properties():
 
 
 def _check_one_field(q):
-    from .fields import (element_multiplicative_order, frobenius_order,
-                         multiplicative_generator)
     p, f = prime_power(q)
     F = make_field(p, f)
     els = list(F.elements())
@@ -320,11 +320,9 @@ def _check_division_algebras():
 
 def _check_zoo_laws():
     from .characters import character_table
-    from .fields import is_prime
     from .perms import conjugacy_classes
     from .zoo import (cyclic, direct_product, holomorph, nonabelian_pq_group,
                       symmetric, vierergruppe)
-    from .errors import ValidationError
     problems = []
     # holomorph orders
     if holomorph(vierergruppe()).order() != 24:

@@ -187,8 +187,8 @@ def _projective(variant, n, q):
     return projective_action(variant, n, make_field(*pp))
 
 
-# tag -> (constructor, arity, degree of the action it builds as a function
-# of parameters >= 1).  Every degree is at least each parameter.
+# tag -> (constructor, whether it takes an integer parameter n, degree of
+# the action it builds as a function of n >= 1).  Every degree is at least n.
 _FAMILIES = {
     "cyclic": (cyclic, True, lambda n: n),
     "dihedral": (dihedral, True, lambda n: n),
@@ -200,7 +200,6 @@ _FAMILIES = {
     "vierergruppe": (vierergruppe, False, None),
     "quaternion": (quaternion, False, None),
     "frobenius21": (frobenius21, False, None),
-    "elementary_abelian": (elementary_abelian, 2, lambda p, m: p * m),
     "psl2": (lambda q: _projective("PSL", 2, q), True, lambda q: q + 1),
     "pgl2": (lambda q: _projective("PGL", 2, q), True, lambda q: q + 1),
     "psl3": (lambda q: _projective("PSL", 3, q), True, lambda q: q * q + q + 1),
@@ -228,23 +227,17 @@ def construct_named(name, parameter=None):
         raise ValidationError(
             f"unknown group family {name!r}; choose from {sorted(_FAMILIES)} "
             f"or an alias in {sorted(_ALIASES)}")
-    fn, arity, degree = _FAMILIES[name]
-    if arity is False:
+    fn, takes_parameter, degree = _FAMILIES[name]
+    if not takes_parameter:
         return fn()
-    if arity == 2:
-        if not (isinstance(parameter, (tuple, list)) and len(parameter) == 2):
-            raise ValidationError(f"{name} needs a (p, m) parameter pair")
-        params = tuple(parameter)
-    elif parameter is None:
+    if parameter is None:
         raise ValidationError(f"{name} needs an integer parameter")
-    else:
-        params = (int(parameter),)
-    if all(x >= 1 for x in params) and (max(params) > PARSE_DEGREE_BOUND
-                                        or degree(*params) > PARSE_DEGREE_BOUND):
+    n = int(parameter)
+    if n >= 1 and (n > PARSE_DEGREE_BOUND or degree(n) > PARSE_DEGREE_BOUND):
         raise ResourceLimitError(
             f"{name} with parameter {parameter} acts on more points than the "
             f"fixed permutation degree bound {PARSE_DEGREE_BOUND}")
-    return fn(*params)
+    return fn(n)
 
 
 # ----------------------------------------------------------------- products

@@ -1,6 +1,9 @@
 """CLI surface: output shape, determinism, exit-status contract."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -111,6 +114,7 @@ def test_field_resource_exit_3(capsys):
 @pytest.mark.parametrize("argv", [
     "orders --family PSL --n 95 --q 3",          # 4306 digits
     "orders --family PSL --n 10000 --q 3",
+    "orders --family POmega_even_plus --n 1000000000 --q 2",
     "orders --family E8 --q " + str(2 ** 4000),
     "orders --family PSL --n 2 --q 1000000000000000003",
     "field --p 1000000000000000003",
@@ -389,7 +393,7 @@ def test_enumeration_setting_caps_character_tables(capsys, monkeypatch):
 # without the candidate bound, clifford 5 did not finish.  The largest
 # members that finish, clifford 4 and clifford_even 5 (1,760,000 candidates,
 # about 6 s each), stay out of tier-1.  psl3 and pgl3 have no member of
-# order <= 64, and elementary_abelian takes a (p, m) pair that --n cannot.
+# order <= 64.
 AUT_SWEEP = [
     (["--aut", "cyclic", "--n", "64"], 0, 1),
     (["--aut", "dihedral", "--n", "32"], 0, 3),
@@ -435,3 +439,38 @@ def test_character_tables_ignore_the_field_size_setting(capsys, monkeypatch):
     with pytest.raises(ResourceLimitError):
         make_field(101)
     assert run(capsys, *argv) == unset and unset[0] == 0
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("argv", [["sporadic"],
+                                  ["chartab", "--name", "dihedral", "--n", "50"]])
+def test_closed_stdout_exits_141_quietly(argv):
+    # 141 = 128 + SIGPIPE, what a shell reports for a producer the signal kills
+    write_end = _closed_pipe()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        done = subprocess.run([sys.executable, "-m", "fsg.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_closed_stdout_during_verify_all(capsys, monkeypatch):
+    import fsg.verify
+    monkeypatch.setattr(fsg.verify, "acceptance_checks", lambda: [
+        {"name": "stub", "passed": True, "seconds": 0.0, "detail": "x" * 100}])
+    write_end = _closed_pipe()
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["verify-all"]) == 141
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+    assert capsys.readouterr().err == ""

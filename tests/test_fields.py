@@ -286,6 +286,20 @@ def test_table_build_reuses_the_generator(monkeypatch):
     assert multiplicative_generator(F) == g and searches == [120]
 
 
+def test_powers_count_their_multiplications_toward_the_table_switch(monkeypatch):
+    # frobenius_order takes only powers x^11, seven polynomial multiplications
+    # each; the tables come before the (q+1)-th of them, not the q-th power
+    F = make_field(11, 2)
+    K = F.codes
+    muls, builds = [], []
+    poly_mul, build = K._poly_mul, K._build_tables
+    monkeypatch.setattr(K, "_poly_mul", lambda x, y: muls.append(1) or poly_mul(x, y))
+    monkeypatch.setattr(K, "_build_tables", lambda: builds.append(len(muls)) or build())
+    assert frobenius_order(F) == 2
+    assert len(builds) == 1 and builds[0] <= F.q
+    assert K.tables is not None
+
+
 def test_elements_are_immutable_values():
     F = make_field(3, 2)
     a = F.element([1, 2])

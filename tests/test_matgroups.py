@@ -135,6 +135,21 @@ def test_order_digit_bound():
                 assert abs(log10(r.order) - _degree(f, m) * log10(base)) < 2
 
 
+RANKED_TAGS = ("GL", "SL", "PSL", "PSp", "POmega_odd", "POmega_even_plus",
+               "POmega_even_minus", "PSU", "2An", "2Dn")
+
+
+def test_every_rank_is_refused_in_bounded_time():
+    # N alone passes the bound, so no factor list of length ~n is made
+    start = time.perf_counter()
+    for fam in RANKED_TAGS:
+        q = 4 if fam in ("PSU", "2An") else 3
+        for n in (10 ** 9, 10 ** 18):
+            with pytest.raises(ResourceLimitError, match="fixed bound of 4300"):
+                order_formula(FamilyOrderQuery(fam, q, n))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_field_constraints():
     with pytest.raises(ValidationError):
         FamilyOrderQuery("2G2", 9)     # even power of 3
