@@ -14,14 +14,18 @@ multiplies and reduces until a field with q <= 2^16 has made q products
 (a power counts each of its products, an add or neg counts one); then it
 builds exp, log and Zech-logarithm tables (K. Huber, IEEE Trans. IT 36,
 1990) and every later operation is a lookup: a caller of fewer than q
-products never pays for the O(q) build, a sweep pays once.
+products never pays for the O(q) build, a sweep pays once.  Enumerating
+is what interns elements: the first elements() call of a field with
+q <= 2^16 makes all q, and from then on every result is one of them, so
+arithmetic allocates nothing; a larger field streams them and keeps none.
 
 Fields and elements are immutable and can be shared between threads.
-The lazy tables are safe: they are complete before one attribute
-assignment publishes them, so a thread sees no tables (and takes the
-polynomial path, with the same answers) or whole ones; and products are
-counted one next() each on an itertools.count, a single C call under the
-interpreter lock, so exactly one thread sees the q-th and builds them.
+The lazy tables and the interned elements are safe: each is complete
+before one attribute assignment publishes it, so a thread sees none (and
+takes the polynomial path, or allocates, with the same answers) or all;
+and products are counted one next() each on an itertools.count, a single
+C call under the interpreter lock, so exactly one thread builds tables.
+A copy or pickle of a field carries only (p, f, modulus, q).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from itertools import product as _cartesian
 from math import isqrt
-from operator import index, itemgetter
+from operator import index, itemgetter, mul
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
@@ -231,21 +235,29 @@ class _ExtensionCodes(_Codes):
         return out
 
     def _build_tables(self):
-        p, q, one = self.p, self.q, self.one
+        p, f, q, one = self.p, self.f, self.q, self.one
         n = q - 1
+        # x -> x·g is F_p-linear: row i holds the coefficients of t^i·g, one
+        # per w-bit slot, w wide enough for a sum of f products, so a step
+        # is one sum of f rows and f digit reads, O(f) against _poly_mul's O(f^2)
         g = self.generator()
-        exp = array("i", [0]) * (3 * n)
-        x = one
-        for i in range(n):
-            exp[i] = exp[i + n] = x
-            x = self._poly_mul(x, g)
+        w = (f * (p - 1) ** 2).bit_length()
+        mask, shifts = (1 << w) - 1, range(0, w * f, w)
+        weights = [p ** (f - 1 - i) for i in range(f)]     # the code of t^i
+        rows = [sum(c << k for c, k in zip(self.coeffs(self._poly_mul(t, g)), shifts))
+                for t in weights]
+        powers, digits = [], [1] + [0] * (f - 1)
+        for _ in range(n):
+            powers.append(sum(map(mul, digits, weights)))
+            s = sum(map(mul, digits, rows))
+            digits = [(s >> k & mask) % p for k in shifts]
+        exp = array("i", powers) * 2 + array("i", [0]) * n
         log = array("i", [0]) * q
-        for i in range(n):
-            log[exp[i]] = i
+        for i, c in enumerate(powers):
+            log[c] = i
         zech = array("i", [0]) * n
         top = (p - 1) * one
-        for d in range(n):
-            c = exp[d]
+        for d, c in enumerate(powers):
             c = c + one if c < top else c - top      # 1 + g^d
             zech[d] = log[c] if c else 2 * n
         self.tables = (exp, log, zech)
@@ -302,8 +314,8 @@ class FieldSpec:
     """The field F_{p^f} in a fixed polynomial basis.
 
     modulus has f+1 entries, low degree first, and is monic irreducible.
-    codes is the unchecked arithmetic on element codes; it holds the
-    lazily built tables, so it takes no part in eq, hash or repr.
+    codes (the unchecked arithmetic on codes, with the lazy tables) and _els
+    (the interned elements) take no part in eq, hash, repr or pickling.
     """
 
     p: int
@@ -315,11 +327,20 @@ class FieldSpec:
     def __post_init__(self):
         object.__setattr__(self, "codes", _PrimeCodes(self.p, 1) if self.f == 1
                            else _ExtensionCodes(self.p, self.f, self.modulus))
+        object.__setattr__(self, "_els", None)
+
+    def __reduce__(self):       # a copy re-derives codes, tables and elements
+        return FieldSpec, (self.p, self.f, self.modulus, self.q)
 
     def __repr__(self):
         return f"GF({self.q})"
 
     # -- element constructors ------------------------------------------------
+
+    def _of(self, c):
+        """The element of code c: the interned one once elements() made them."""
+        els = self._els
+        return _new(FieldElement, (self, c)) if els is None else els[c]
 
     def element(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, int):
@@ -328,18 +349,22 @@ class FieldSpec:
         if len(coeffs) != self.f:
             raise ValidationError(
                 f"element of {self!r} needs {self.f} coefficients, got {len(coeffs)}")
-        return _new(FieldElement, (self, self.codes.encode(coeffs)))
+        return self._of(self.codes.encode(coeffs))
 
     def zero(self) -> "FieldElement":
-        return _new(FieldElement, (self, 0))
+        return self._of(0)
 
     def one(self) -> "FieldElement":
-        return _new(FieldElement, (self, self.codes.one))
+        return self._of(self.codes.one)
 
     def elements(self):
-        """All q elements, ascending in the canonical coefficient order."""
-        for c in range(self.q):
-            yield _new(FieldElement, (self, c))
+        """All q elements, ascending in the canonical coefficient order;
+        up to TABLE_MAX_SIZE the first call interns them."""
+        els = self._els
+        if els is None and self.q <= TABLE_MAX_SIZE:
+            els = tuple(map(self._of, range(self.q)))
+            object.__setattr__(self, "_els", els)
+        return map(self._of, range(self.q)) if els is None else iter(els)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -348,33 +373,42 @@ class FieldSpec:
             raise DomainMismatchError(f"operand {a!r} does not belong to {self!r}")
         return a[1]
 
+    # add and mul inline _code's test and _of: they are the sweeps' kernel
+
     def add(self, a, b):
-        return _new(FieldElement, (self, self.codes.add(self._code(a), self._code(b))))
+        if not (type(a) is type(b) is FieldElement and a[0] is self is b[0]):
+            self._code(a), self._code(b)        # raises, naming the operand
+        c = self.codes.add(a[1], b[1])
+        els = self._els
+        return _new(FieldElement, (self, c)) if els is None else els[c]
 
     def sub(self, a, b):
-        c = self.codes
-        return _new(FieldElement, (self, c.add(self._code(a), c.neg(self._code(b)))))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return _new(FieldElement, (self, self.codes.neg(self._code(a))))
+        return self._of(self.codes.neg(self._code(a)))
 
     def mul(self, a, b):
-        return _new(FieldElement, (self, self.codes.mul(self._code(a), self._code(b))))
+        if not (type(a) is type(b) is FieldElement and a[0] is self is b[0]):
+            self._code(a), self._code(b)        # raises, naming the operand
+        c = self.codes.mul(a[1], b[1])
+        els = self._els
+        return _new(FieldElement, (self, c)) if els is None else els[c]
 
     def inv(self, a):
         x = self._code(a)
         if not x:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        return _new(FieldElement, (self, self.codes.pow(x, self.q - 2)))
+        return self._of(self.codes.pow(x, self.q - 2))
 
     def pow(self, a, k: int):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        return _new(FieldElement, (self, self.codes.pow(self._code(a), k)))
+        return self._of(self.codes.pow(self._code(a), k))
 
     def frobenius(self, a):
         """The map x -> x^p."""
-        return _new(FieldElement, (self, self.codes.pow(self._code(a), self.p)))
+        return self._of(self.codes.pow(self._code(a), self.p))
 
 
 class FieldElement(tuple):
@@ -465,7 +499,6 @@ def make_field(p: int, f: int = 1) -> FieldSpec:
 
 def frobenius_orbit(spec: FieldSpec, a: FieldElement) -> list:
     """Orbit of a under x -> x^p; its length divides f."""
-    spec._code(a)
     orbit = [a]
     x = spec.frobenius(a)
     while x != a:
@@ -476,11 +509,10 @@ def frobenius_orbit(spec: FieldSpec, a: FieldElement) -> list:
 
 def frobenius_order(spec: FieldSpec) -> int:
     """Order of x -> x^p as a map on the whole field."""
-    els = list(spec.elements())
-    current = {a: a for a in els}
+    current = els = list(spec.elements())
     for k in range(1, spec.f + 1):
-        current = {a: spec.frobenius(current[a]) for a in els}
-        if all(current[a] == a for a in els):
+        current = [spec.frobenius(x) for x in current]
+        if current == els:
             return k
     raise AssertionError("frobenius order exceeds f")  # unreachable
 
@@ -490,7 +522,7 @@ def multiplicative_generator(spec: FieldSpec) -> FieldElement:
 
     Verified by checking g^((q-1)/r) != 1 for every prime r | q-1.
     """
-    return _new(FieldElement, (spec, spec.codes.generator()))
+    return spec._of(spec.codes.generator())
 
 
 def element_multiplicative_order(spec: FieldSpec, a: FieldElement) -> int:

@@ -1,5 +1,7 @@
 """Finite-field arithmetic against independent small oracles."""
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -325,8 +327,10 @@ def _sweep(F):
 
 
 def test_threads_share_a_field_across_the_table_switch():
-    expected = {q: _sweep(make_field(*prime_power(q))) for q in (81, 121)}
-    shared = {q: make_field(*prime_power(q)) for q in (81, 121)}
+    # each thread's sweep starts with elements(), so the threads also race
+    # the first call, which interns the elements
+    expected = {q: _sweep(make_field(*prime_power(q))) for q in (81, 103, 121)}
+    shared = {q: make_field(*prime_power(q)) for q in (81, 103, 121)}
     barrier = threading.Barrier(4)
     results = [None] * 4
 
@@ -346,4 +350,86 @@ def test_threads_share_a_field_across_the_table_switch():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
-    assert all(F.codes.tables is not None for F in shared.values())
+    assert all(F.codes.tables is not None for F in shared.values() if F.f > 1)
+    for F in shared.values():
+        els = F._els        # whichever thread published last
+        assert len(els) == F.q
+        assert all(a.spec is F and a.code == c for c, a in enumerate(els))
+        r = F.mul(els[2], els[3])
+        assert r is els[r.code]
+
+
+@pytest.mark.parametrize("pf", [(7, 1), (3, 2)])
+def test_every_operand_is_domain_checked(pf):
+    F, twin, other = make_field(*pf), make_field(*pf), make_field(5)
+    for enumerated in (False, True):
+        if enumerated:
+            list(F.elements()), list(twin.elements())
+        a = F.one()
+        # another field's element, an equal but distinct spec's, a plain tuple, an int
+        for bad in (other.one(), twin.one(), (F, 1), 1):
+            for op in (F.add, F.sub, F.mul):
+                with pytest.raises(DomainMismatchError):
+                    op(a, bad)
+                with pytest.raises(DomainMismatchError):
+                    op(bad, a)
+        with pytest.raises(DomainMismatchError):
+            3 * a
+    assert F._els is not None and twin._els is not None
+
+
+def _every_operation(F, xs):
+    out = []
+    for a in xs:
+        out += [F.neg(a), F.frobenius(a), F.pow(a, 5)]
+        if not a.is_zero():
+            out.append(F.inv(a))
+        for b in xs:
+            out += [F.add(a, b), F.sub(a, b), F.mul(a, b)]
+    return out
+
+
+@pytest.mark.parametrize("q", [103, 81, 121])
+def test_interned_elements_answer_as_fresh_ones(q):
+    # fresh never enumerates, so it allocates every result; F and its equal
+    # twin each intern their own elements and return nothing else
+    fresh, F, twin = (make_field(*prime_power(q)) for _ in range(3))
+    expected = [r.code for r in _every_operation(
+        fresh, [fresh.element(fresh.codes.coeffs(c)) for c in range(q)])]
+    assert fresh._els is None
+    for G in (F, twin):
+        els = list(G.elements())
+        got = _every_operation(G, els)
+        assert [r.code for r in got] == expected
+        assert all(r is els[r.code] for r in got)
+        assert G.zero() is els[0] and G.one() is els[G.codes.one]
+        assert multiplicative_generator(G) is els[G.codes.generator()]
+
+
+@pytest.mark.parametrize("q", [2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1])
+def test_elements_are_kept_only_up_to_the_table_bound(q):
+    F = make_field(*prime_power(q))
+    assert sum(1 for _ in F.elements()) == q
+    kept = F._els is not None
+    assert kept == (q <= fields.TABLE_MAX_SIZE)
+    one = F.one()
+    assert (F.add(one, one) is F.add(one, one)) == kept
+
+
+@pytest.mark.parametrize("q", [7, 81])
+def test_pickle_and_deepcopy_after_a_sweep(q):
+    F = make_field(*prime_power(q))
+    swept = _sweep(F)
+    assert F._els is not None and (F.f == 1 or F.codes.tables is not None)
+    a = list(F.elements())[q - 2]
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        G = clone(F)
+        assert G is not F and G == F and hash(G) == hash(F)
+        assert G._els is None and getattr(G.codes, "tables", None) is None
+        assert _sweep(G) == swept
+        b = clone(a)
+        assert b == a and hash(b) == hash(a) and b.spec is not F
+        B = b.spec
+        assert B.mul(b, B.inv(b)) == B.one() and B.mul(b, b).code == F.mul(a, a).code
+        with pytest.raises(DomainMismatchError):
+            F.add(a, b)
