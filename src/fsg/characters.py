@@ -36,7 +36,7 @@ from operator import mul
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import FieldSpec, is_prime
-from .perms import PermGroup, class_census
+from .perms import PermGroup, census_key, class_census, gather
 
 CHARACTER_BOUND = 200
 LIFTING_PRIME_CAP = 10 ** 6
@@ -102,14 +102,9 @@ class CharacterTable:
 
     def as_integer_matrix(self):
         """The table as plain integers; None where a value is irrational."""
-        out = []
-        for row in self.values:
-            out_row = []
-            for vec in row:
-                red = reduce_root_vector(vec, self.exponent)
-                out_row.append(red[0] if all(c == 0 for c in red[1:]) else None)
-            out.append(out_row)
-        return out
+        reduced = [[reduce_root_vector(vec, self.exponent) for vec in row]
+                   for row in self.values]
+        return [[None if any(red[1:]) else red[0] for red in row] for row in reduced]
 
     def check_column_orthogonality(self):
         """Exact Eq-style column relations: conjugate-weighted inner product
@@ -145,10 +140,8 @@ class CharacterTable:
 def _row_sort(degrees, rows, m):
     def key(pair):
         d, row = pair
-        canon = tuple(reduce_root_vector(v, m) for v in row)
-        return (d, tuple(tuple(-c for c in vec) for vec in canon))
-    paired = sorted(zip(degrees, rows), key=key)
-    return tuple(p[0] for p in paired), tuple(p[1] for p in paired)
+        return d, tuple(tuple(-c for c in reduce_root_vector(v, m)) for v in row)
+    return tuple(zip(*sorted(zip(degrees, rows), key=key)))
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -190,9 +183,8 @@ def _verify_table(t: CharacterTable):
         red = reduce_root_vector(vec, t.exponent)
         if red[0] != d or any(red[1:]):
             raise InternalDefectError("first column does not equal the degrees")
-    for d in t.degrees:
-        if n % d:
-            raise InternalDefectError("an irrep degree fails to divide the order")
+    if any(n % d for d in t.degrees):
+        raise InternalDefectError("an irrep degree fails to divide the order")
     if not t.check_column_orthogonality():
         raise InternalDefectError("column orthogonality fails")
 
@@ -201,16 +193,17 @@ def _verify_table(t: CharacterTable):
 
 
 def _dixon_characters(G, class_of, column, reps, sizes, orders, m):
-    """The irreducible characters; class_of is the census map and
-    column[class_of[x]] the table column of the class of x."""
+    """The irreducible characters; class_of is the census map, keyed by
+    census_key(G.degree), and column[class_of[x]] the column of key x."""
     n = G.order()
     r = len(reps)
     ell = _lifting_prime(m, n)
-    inv_class = [column[class_of[rep.inverse().images]] for rep in reps]
-    power_class = [[column[class_of[p.images]]
+    key = census_key(G.degree)
+    inv_class = [column[class_of[key(rep.inverse().images)]] for rep in reps]
+    power_class = [[column[class_of[key(p.images)]]
                     for p in accumulate(repeat(rep, o - 1), mul, initial=rep ** 0)]
                    for rep, o in zip(reps, orders)]
-    rep_images = [rep.images for rep in reps]
+    rep_gathers = [gather(rep.images) for rep in reps]
 
     def class_matrix(i):
         """Class multiplication coefficients a_ijk, with fixed target rep z_k,
@@ -220,8 +213,8 @@ def _dixon_characters(G, class_of, column, reps, sizes, orders, m):
         for y, c in class_of.items():
             if column[c] != inv_class[i]:
                 continue
-            for col, zk in zip(cols, rep_images):
-                j = column[class_of[tuple(map(y.__getitem__, zk))]]
+            for col, yz in zip(cols, rep_gathers):
+                j = column[class_of[key(yz(y))]]
                 col[j] = col.get(j, 0) + 1
         return cols
 

@@ -93,6 +93,8 @@ def _cmd_group(args):
                         group_from_generators, is_simple, structure_report,
                         transitivity_degree)
     from .zoo import construct_named
+    if args.degree is not None and args.degree < 0:
+        raise ValidationError("--degree takes n >= 0")
     if args.gens:
         perms = [Permutation.parse(t, degree=args.degree or 0)
                  for t in args.gens.split(";")]

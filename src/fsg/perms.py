@@ -33,9 +33,10 @@ ResourceLimitError beyond it.  The class census seeds its conjugation
 orbits from the chain's own element iterator and stops once the classes
 cover |G|.  Any generating set of G closes each seed's whole class, so
 the classes, their seed order, representatives and sizes do not depend on
-the set it conjugates by.  It keeps one map, image tuple -> class index, and
-per class its smallest member and its size; the members themselves are
-never wrapped.
+the set it conjugates by.  It keeps one map, key -> class index, where a
+key is a member's images as bytes up to 256 points and as a tuple above,
+and per class its smallest member and its size; the members themselves
+are never wrapped.
 
 Groups are immutable once built.  The element list and the class
 census are filled on first use and kept on the group; threads that
@@ -48,8 +49,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from math import factorial, lcm, prod
+from operator import itemgetter, methodcaller
 
 from .errors import DomainMismatchError, ResourceLimitError, ValidationError
 
@@ -237,10 +239,7 @@ class Permutation:
         return lcm(*map(len, self.cycles()))
 
     def cycle_string(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles()) or "()"
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -428,8 +427,7 @@ class PermGroup:
     def orbit(self, point):
         """Orbit of a point under the whole group, discovery order."""
         gens = [g.images for g in self.generators]
-        seen = {point}
-        queue = [point]
+        seen, queue = {point}, [point]
         for p in queue:
             for s in gens:
                 y = s[p]
@@ -448,10 +446,7 @@ class PermGroup:
         return out
 
     def support(self):
-        moved = set()
-        for g in self.generators:
-            moved.update(g.moved_points())
-        return sorted(moved)
+        return sorted(set().union(*(g.moved_points() for g in self.generators)))
 
     def _random_elements(self):
         """Uniform elements of G as image tuples, from the seeded stream.  G
@@ -564,33 +559,55 @@ class ClassData:
 
 def class_census(G: PermGroup):
     """G's class census, run once and kept on G: (class_of, reps, sizes),
-    image tuple -> class index in seed order (identity first), and per class
-    its smallest member, the only one wrapped, and its size.  Conjugates are
-    composed as image tuples, s x s^-1 in one pass."""
+    key -> class index in seed order (identity first), and per class its
+    smallest member, the only one wrapped, and its size.  A key is an image
+    sequence encoded by census_key(G.degree).  Each class is closed by
+    frontier: each conjugator maps the whole frontier in C, and the images
+    new to the class are the next frontier."""
     if G._census is not None:
         return G._census
     _check_enumerable(G.order())
+    key = census_key(G.degree)
+    conjugations = [_conjugation(s, key) for s in _conjugators(G)]
     class_of, reps, sizes = {}, [], []
-    gen_pairs = [(s.__getitem__, _invert(s)) for s in _conjugators(G)]
     for g in G.iter_elements():
         if len(class_of) == G.order():
             break
-        if g.images in class_of:
+        x = key(g.images)
+        if x in class_of:
             continue
-        block = [g.images]
-        class_of[g.images] = len(reps)
-        for x in block:
-            for s, s_inv in gen_pairs:
-                y = tuple(map(s, map(x.__getitem__, s_inv)))
-                if y not in class_of:
-                    class_of[y] = len(reps)
-                    block.append(y)
-        reps.append(Permutation._trusted(min(block)))
-        sizes.append(len(block))
+        members, frontier = {x}, [x]
+        while frontier:
+            frontier = set().union(*[c(frontier) for c in conjugations]) - members
+            members |= frontier
+        class_of.update(dict.fromkeys(members, len(reps)))
+        reps.append(Permutation._trusted(tuple(min(members))))
+        sizes.append(len(members))
     if len(class_of) != G.order():
         raise AssertionError("class sizes do not sum to the group order")
     G._census = class_of, reps, sizes
     return G._census
+
+
+def census_key(degree):
+    """The census key type: bytes up to 256 points (ordered as tuples are), else tuple."""
+    return bytes if degree <= 256 else tuple
+
+
+def gather(idx):
+    """x -> the tuple of x[i], i in idx, in C.  itemgetter alone gives a bare
+    item, not a 1-tuple, for one index, and raises for none."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda x: tuple(map(x.__getitem__, idx))
+
+
+def _conjugation(s, key):
+    """Keys x of a frontier -> the keys of s x s^-1, composed in C: gather x
+    at s^-1, then send each image through s (a 256-byte table for bytes)."""
+    pick = gather(_invert(s))
+    if key is bytes:
+        send = methodcaller("translate", bytes(s) + bytes(range(len(s), 256)))
+        return lambda xs: map(send, map(bytes, map(pick, xs)))
+    return lambda xs: map(tuple, map(map, repeat(s.__getitem__), map(pick, xs)))
 
 
 def _conjugators(G: PermGroup):
@@ -633,12 +650,7 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     gens = [s for s in seeds if not s.is_identity()]
     K = PermGroup(G.degree, gens, _within=G)
     while True:
-        new = []
-        for k in gens:
-            for g in G.generators:
-                c = g * k * g.inverse()
-                if c not in K:
-                    new.append(c)
+        new = [c for k in gens for g in G.generators if (c := g * k * g.inverse()) not in K]
         if not new:
             return K
         gens.extend(new)
@@ -648,10 +660,8 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
 def structure_report(G: PermGroup):
     """(center_order, derived_order, abelianization_order, is_perfect)."""
     center = center_order(G)        # refuses above the enumeration bound first
-    commutators = []
-    for i, a in enumerate(G.generators):
-        for b in G.generators[i + 1:]:
-            commutators.append(a * b * a.inverse() * b.inverse())
+    commutators = [a * b * a.inverse() * b.inverse()
+                   for i, a in enumerate(G.generators) for b in G.generators[i + 1:]]
     derived = normal_closure(G, commutators).order() if commutators else 1
     ab = G.order() // derived
     return center, derived, ab, ab == 1
@@ -683,9 +693,7 @@ def element_order_histogram(G: PermGroup):
             hist[rep.order()] += size
         return dict(hist)
     _check_enumerable(G.order())
-    for g in G.iter_elements():
-        hist[g.order()] += 1
-    return dict(hist)
+    return dict(Counter(g.order() for g in G.iter_elements()))
 
 
 def closure_order(degree, gens) -> int:
@@ -701,12 +709,8 @@ def closure_order(degree, gens) -> int:
             raise DomainMismatchError(
                 f"generator degree {g.degree} != group degree {degree}")
     ident = Permutation(range(degree))
-    seen = {ident.images}
-    queue = [ident]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    seen, queue = {ident.images}, [ident]
+    for x in queue:
         for s in gens:
             y = Permutation(map(s.images.__getitem__, x.images))
             if y.images not in seen:

@@ -242,6 +242,18 @@ def test_series_term_count_lower_rule(capsys, argv, lowest, message):
         assert (code, out, err) == (2, "", f"error: {message}\n"), count
 
 
+def test_degree_pads_the_generators_and_refuses_a_negative_value(capsys):
+    # --degree pads to at least that many points, and a value below what the
+    # generators need is widened; a negative one used to exit 0 as degree 6
+    for degree, expected in (("0", 6), ("3", 6), ("6", 6), ("9", 9)):
+        payload = run_json(capsys, "group", "--gens", "(0 5)", "--degree", degree)
+        assert (payload["degree"], payload["order"]) == (expected, "2"), degree
+    for degree in ("-1", "-5"):
+        for argv in (["--gens", "(0 5)"], ["--name", "sym", "--n", "3"]):
+            code, out, err = run(capsys, "group", *argv, "--degree", degree)
+            assert (code, out, err) == (2, "", "error: --degree takes n >= 0\n"), argv
+
+
 @pytest.mark.parametrize("flag", ["--gens", "--contains"])
 def test_malformed_cycle_notation_exit_2(capsys, flag):
     for text in ("(0 1", "(0 x)", "[1, x]"):

@@ -1,11 +1,13 @@
 """Permutation-group engine: chain order vs closure oracle, classes,
 structure queries, transitivity."""
 
+import gc
 import itertools
 import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -269,7 +271,7 @@ def test_census_seeds_from_the_chain_iterator(monkeypatch):
         assert len(walks) == 1 and walks[0] is G
         members = [[] for _ in reps]
         for x, c in class_of.items():
-            members[c].append(x)
+            members[c].append(tuple(x))
         assert [rep.images for rep in reps] == [min(m) for m in members]
         assert sizes == [len(m) for m in members]
         assert sorted(map(id, data.reps)) == sorted(map(id, reps))
@@ -277,6 +279,85 @@ def test_census_seeds_from_the_chain_iterator(monkeypatch):
     sizes = conjugacy_classes(alternating(9)).class_sizes
     assert sorted(sizes) == [1, 168, 378, 945, 2240, 3024, 3360, 7560, 7560, 9072,
                              11340, 12096, 12096, 15120, 20160, 20160, 25920, 30240]
+
+
+def classes_by_definition(G):
+    """G's classes as sets of image tuples, each x conjugated by every g."""
+    elements = G.element_list()
+    classes = {frozenset((g * x * g.inverse()).images for g in elements) for x in elements}
+    return sorted(classes, key=min)
+
+
+def census_members(G):
+    """The census's classes as sets of image tuples, in class-index order."""
+    class_of, reps, _ = perms.class_census(G)
+    members = [set() for _ in reps]
+    for x, c in class_of.items():
+        members[c].add(tuple(x))
+    return members
+
+
+def test_census_keys_switch_from_bytes_to_tuples_past_256_points():
+    # S_4 on points 0-3 times the transposition of the two highest points
+    groups = {n: group_from_generators(n, [cyc(n, (0, 1, 2, 3)), cyc(n, (0, 1)),
+                                           cyc(n, (n - 2, n - 1))]) for n in (256, 257)}
+    for n, key in ((256, bytes), (257, tuple)):
+        G = groups[n]
+        class_of, reps, sizes = perms.class_census(G)
+        assert {type(x) for x in class_of} == {key}
+        members = census_members(G)
+        assert sorted(members, key=min) == classes_by_definition(G)
+        assert [rep.images for rep in reps] == [min(m) for m in members]
+        assert sizes == [len(m) for m in members]
+    assert len(sizes) == 10
+
+    def relabel(images):
+        # points 254, 255 of degree 256 are 255, 256 of degree 257
+        return images[:254] + (254,) + tuple(p + 1 for p in images[254:])
+
+    small, large = (perms.class_census(groups[n]) for n in (256, 257))
+    assert [relabel(rep.images) for rep in small[1]] == [rep.images for rep in large[1]]
+    assert small[2] == large[2]
+    assert ({relabel(tuple(x)): c for x, c in small[0].items()}
+            == {tuple(x): c for x, c in large[0].items()})
+    table = character_table(groups[257])
+    assert table == character_table(groups[256])
+    assert sorted(table.degrees) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("G", [PermGroup(0, []), PermGroup(1, []), PermGroup(2, []),
+                               PermGroup(5, []), PermGroup(2, [cyc(2, (0, 1))])],
+                         ids=["degree0", "degree1", "trivial2", "trivial5", "s2"])
+def test_census_on_at_most_two_points_and_of_the_trivial_group(G):
+    class_of, reps, sizes = perms.class_census(G)
+    assert class_of == {bytes(x.images): c for c, x in enumerate(G.element_list())}
+    assert [rep.images for rep in reps] == [x.images for x in G.element_list()]
+    assert sizes == [1] * G.order()
+    assert character_table(G).degrees == (1,) * G.order()
+
+
+def test_gather_gives_a_tuple_for_any_number_of_indices():
+    # itemgetter(i) alone gives a bare item, which bytes() would read as a length
+    word = bytes([5, 7, 9])
+    assert perms.gather(())(word) == ()
+    assert perms.gather((2,))(word) == (9,)
+    assert perms.gather((2, 0))(word) == (9, 5)
+    assert perms.census_key(1)(perms.gather((1,))(word)) == bytes([7])
+
+
+def test_a8_census_retains_under_two_mib():
+    # bytes keys: A_8's census map and reps retain about 1.6 MiB; image-tuple
+    # keys retained 2.8 MiB
+    G = alternating(8)
+    assert G._census is None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        perms.class_census(G)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2 * 2 ** 20
 
 
 def test_lagrange_along_chain():
@@ -442,7 +523,7 @@ def test_trusted_path_yields_valid_permutations():
             assert len(set(elements)) == G.order()
             class_of, reps, _ = perms.class_census(G)
             assert len(class_of) == G.order()
-            for x in [Permutation._trusted(x) for x in class_of] + reps:
+            for x in [Permutation._trusted(tuple(x)) for x in class_of] + reps:
                 valid(x, n)
                 assert x in G
         else:
