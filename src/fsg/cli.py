@@ -9,6 +9,7 @@ refusal, 70 internal defect, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,8 +33,7 @@ def _emit(payload, fmt):
 def _emit_text(payload, indent=0):
     pad = "  " * indent
     if isinstance(payload, dict):
-        for k in sorted(payload):
-            v = payload[k]
+        for k, v in sorted(payload.items()):
             if isinstance(v, (dict, list)):
                 print(f"{pad}{k}:")
                 _emit_text(v, indent + 1)
@@ -174,10 +174,7 @@ def _cmd_orders(args):
 
 def _cmd_census(args):
     from .matgroups import census_table, simple_census
-    if args.with_primes:
-        entries = census_table(args.bound)
-    else:
-        entries = simple_census(args.bound)
+    entries = (census_table if args.with_primes else simple_census)(args.bound)
     return {"bound": args.bound, "count": len(entries),
             "entries": [e.as_dict() for e in entries]}
 
@@ -219,26 +216,19 @@ def _cmd_moonshine(args):
     from .moonshine import (delta_expansion, j_cube_root, j_expansion,
                             monster_constant_checks, monster_order,
                             moonshine_decompositions, sum_of_squares_check)
-    if args.j is not None:
-        series = j_expansion(args.j)
-        return {"j_coefficients_from_q^-1": [
-            str(series.coeff(n)) for n in range(-1, args.j + 1)]}
-    if args.delta is not None:
-        series = delta_expansion(args.delta)
-        return {"delta_coefficients_from_q^1": [
-            str(series.coeff(n)) for n in range(1, args.delta + 1)]}
-    if args.cube_root is not None:
-        series = j_cube_root(args.cube_root)
-        return {"j_cube_root_coefficients_from_q^0": [
-            str(series.coeff(n)) for n in range(0, args.cube_root + 1)]}
+    for n, series, first, key in (
+            (args.j, j_expansion, -1, "j_coefficients_from_q^-1"),
+            (args.delta, delta_expansion, 1, "delta_coefficients_from_q^1"),
+            (args.cube_root, j_cube_root, 0, "j_cube_root_coefficients_from_q^0")):
+        if n is not None:
+            return {key: list(map(str, series(n).coeff_range(first, n)))}
     if args.identities:
         checks = moonshine_decompositions() + monster_constant_checks()
         return {"identities": [
             {"identity": c["identity"], "pass": c["pass"]} for c in checks],
             "all_pass": all(c["pass"] for c in checks)}
     if args.monster:
-        return {"monster_order": str(monster_order()),
-                "digits": len(str(monster_order()))}
+        return {"monster_order": (order := str(monster_order())), "digits": len(order)}
     if args.sum_squares:
         return sum_of_squares_check()
     raise ValidationError(
@@ -269,7 +259,10 @@ def _cmd_verify_all(args):
     return None if not failed else EXIT_DEFECT
 
 
+@functools.cache
 def build_parser():
+    """The fsg parser, built on the first call and shared after it; a
+    caller must not mutate it."""
     p = argparse.ArgumentParser(
         prog="fsg",
         description="exact computation with finite simple groups, codes, "
@@ -334,12 +327,10 @@ def build_parser():
     le.set_defaults(fn=_cmd_leech)
 
     mo = sub.add_parser("moonshine", help="q-series and identities")
-    mo.add_argument("--j", type=int)
-    mo.add_argument("--delta", type=int)
-    mo.add_argument("--cube-root", type=int, dest="cube_root")
-    mo.add_argument("--identities", action="store_true")
-    mo.add_argument("--monster", action="store_true")
-    mo.add_argument("--sum-squares", action="store_true", dest="sum_squares")
+    for flag in ("--j", "--delta", "--cube-root"):
+        mo.add_argument(flag, type=int)
+    for flag in ("--identities", "--monster", "--sum-squares"):
+        mo.add_argument(flag, action="store_true")
     mo.set_defaults(fn=_cmd_moonshine)
 
     al = sub.add_parser("algebra", help="quaternion/octonion probes")
@@ -356,8 +347,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = args.fn(args)
         if payload is not None and not isinstance(payload, int):

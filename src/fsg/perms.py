@@ -685,7 +685,8 @@ def element_order_histogram(G: PermGroup):
     """Map element order -> count over all of G; counts sum to |G|.
 
     Read off the class census when G has one cached (conjugates share an
-    order); otherwise enumerate G, which costs about half a census."""
+    order); otherwise stream G's elements, which takes about twice a census
+    but holds none of them: A_9 0.59 s at a 0.01 MiB peak, census 0.30 s, 24 MiB."""
     hist = Counter()
     if G._census is not None:
         _, reps, sizes = G._census

@@ -2,13 +2,17 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
 
+from fsg import cli
 from fsg.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -486,3 +490,52 @@ def test_closed_stdout_during_verify_all(capsys, monkeypatch):
         monkeypatch.undo()
         stdout.close()
     assert capsys.readouterr().err == ""
+
+
+PARSER_SEQUENCE = [
+    ("orders", "--family", "PSL", "--n", "4", "--q", "3"),
+    ("census", "--bound", "10000", "--with-primes"),
+    ("group", "--name", "alt", "--n", "5", "--report"),
+    ("field", "--p", "2", "--f", "2", "--op", "mul", "--a", "0 1", "--b", "0 1"),
+    ("chartab", "--name", "sym", "--n", "4"),
+    ("zoo", "--partitions", "10"),
+    ("golay", "--steiner", "--mathieu"),
+    ("leech", "--norm6"),
+    ("moonshine", "--j", "3"),
+    ("algebra", "--probe", "O", "--samples", "100"),
+    ("sporadic",),
+    ("--format", "text", "zoo", "--partitions", "10"),
+    ("orders", "--family", "2G2", "--q", "9"),         # ValidationError, exit 2
+    ("moonshine", "--delta", "100000"),                # ResourceLimitError, exit 3
+    ("orders", "--family", "PSL", "--q", "x"),         # argparse rejects it
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_alike(capsys):
+    """The parser is built once per process, and a call's stdout, stderr
+    and exit code do not depend on the calls that used it before."""
+    assert cli.build_parser() is cli.build_parser()
+    forward = {argv: _outcome(capsys, argv) for argv in PARSER_SEQUENCE}
+    backward = {argv: _outcome(capsys, argv) for argv in reversed(PARSER_SEQUENCE)}
+    assert forward == backward
+    assert [forward[argv][0] for argv in PARSER_SEQUENCE[-4:]] == [0, 2, 3, 2]
+    assert "invalid int value: 'x'" in forward[PARSER_SEQUENCE[-1]][2]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--help"], "help-fsg.txt"),
+    (["group", "--help"], "help-group.txt"),
+])
+def test_help_text_is_unchanged(capsys, monkeypatch, argv, golden):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(capsys, argv) == (
+        0, (GOLDEN / golden).read_text(), "")

@@ -3,7 +3,8 @@ exit code and the exact stdout it must produce, compared byte for byte.
 
 To add a case, write a file with only its "argv" and run
 ``PYTHONPATH=src python tests/test_golden.py``; that records the exit
-code and stdout of every case from the current code.
+code and stdout of every case from the current code.  The help-*.txt
+files there hold --help text at 80 columns, compared in tests/test_cli.py.
 """
 
 import contextlib

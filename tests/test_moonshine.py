@@ -1,5 +1,6 @@
 """Integer q-series arithmetic and the moonshine identities."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from fsg.errors import InternalDefectError, ResourceLimitError, ValidationError
 from fsg.moonshine import (
+    SQUARE_SUM_MODULI,
     IntegerSeries,
+    _square_sum_survivors,
     delta_expansion,
     eisenstein_e4,
     euler_function,
@@ -247,6 +250,46 @@ def test_sum_of_squares():
     assert rep["closed_form"] == 4900
     assert rep["equals_70_squared"]
     assert rep["square_total_ns"] == [1, 24]
+
+
+def _s(n):
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
+def test_square_sum_has_period_6m_modulo_each_sieve_modulus():
+    for m in SQUARE_SUM_MODULI:
+        assert all(_s(r + 6 * m) % m == _s(r) % m for r in range(6 * m))
+
+
+def test_square_sum_sieve_against_the_plain_loop():
+    """Up to 2*10^5 the survivors are exactly the N whose running square
+    sum is a square modulo every sieve modulus; every square sum is among
+    them; and isqrt on the survivors gives the loop's verdicts."""
+    bound = 2 * 10 ** 5
+    squares = [(m, {x * x % m for x in range(m)}) for m in SQUARE_SUM_MODULI]
+    rule, loop_ns, total = [], [], 0
+    for n in range(bound + 1):
+        total += n * n
+        if all(total % m in sq for m, sq in squares):
+            rule.append(n)
+        if isqrt(total) ** 2 == total:
+            loop_ns.append(n)
+    survivors = list(_square_sum_survivors(bound))
+    assert survivors == rule
+    assert loop_ns == [0, 1, 24] and set(loop_ns) <= set(survivors)
+    assert [n for n in survivors if isqrt(_s(n)) ** 2 == _s(n)] == loop_ns
+    assert len(survivors) < bound // 100
+
+
+def test_sum_of_squares_peaks_under_two_mib():
+    """One flag byte per N <= 10^6 and no per-N list."""
+    tracemalloc.start()
+    try:
+        sum_of_squares_check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_bounds():
