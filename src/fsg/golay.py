@@ -150,21 +150,21 @@ def octad_steiner_check(code: BinaryCode, exhaustive=True):
 # ---------------------------------------------------------------- mathieu
 
 
-def apply_permutation_to_word(perm: Permutation, word: int) -> int:
-    out = 0
-    for i in range(LENGTH):
-        if word >> i & 1:
-            out |= 1 << perm(i)
-    return out
-
-
 def is_code_automorphism(code: BinaryCode, perm: Permutation) -> bool:
-    """Exhaustive check: the permuted 4096-codeword set equals itself.
+    """Exhaustive check: perm maps each of the 4096 codewords into the code.
 
-    Linear-algebra shortcut intentionally avoided; this is the verifier.
+    A word's image is t0[w & 255] | t1[w >> 8 & 255] | t2[w >> 16], from
+    three 256-entry tables, one per byte, built bit by bit from perm's
+    images.  Every codeword is still moved and looked up: the
+    linear-algebra shortcut is intentionally avoided; this is the verifier.
     """
+    t0, t1, t2 = tables = [0], [0], [0]
+    for k, table in enumerate(tables):
+        for low in range(8):
+            bit = 1 << perm(8 * k + low)
+            table += [t | bit for t in table]
     words = code.codeword_set
-    return all(apply_permutation_to_word(perm, w) in words for w in words)
+    return all(t0[w & 255] | t1[w >> 8 & 255] | t2[w >> 16] in words for w in words)
 
 
 def psl2_23_generators():

@@ -3,12 +3,15 @@
 IntegerSeries is a truncated Laurent-style series with big-integer
 coefficients and a signed leading exponent.  Every operation tracks the
 window of exponents on which the result is exact and never silently
-extends past it.  IntegerSeries.__pow__ is the one recurrence for rational
-powers, and it certifies each by the differential identity it solves:
-Delta = q euler^24, 1/Delta = q^-1 euler^-24, j^(1/3) = (q j)^(1/3) and
-the partition numbers 1/euler come from it, and j = E4^3 / Delta is
-certified by remultiplying j Delta = E4^3.  All the identity checks in
-this module are pure integer equalities: there is no tolerance anywhere.
+extends past it.  A product takes one of two paths: unit rows, added or
+subtracted, when one factor's coefficients lie in {-1, 0, 1} (the Euler
+function), and otherwise one big-integer multiply over byte slots wide
+enough for bits(max|a|) + bits(max|b|) + bits(n) + 1.
+IntegerSeries.__pow__ is the one recurrence for rational powers, and it
+certifies each by the differential identity it solves: Delta = q euler^24,
+1/Delta = q^-1 euler^-24, j^(1/3) = (q j)^(1/3) and the partition numbers
+1/euler come from it, and j = E4^3 / Delta is certified by remultiplying
+j Delta = E4^3.  Every identity check here is a pure integer equality.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import isqrt
 from operator import add, mul, sub
 
@@ -31,6 +34,15 @@ MONSTER_MISSING_PRIMES = (37, 43, 53, 61, 67)
 MONSTER_IRREP_DIMS = (1, 196883, 21296876, 842609326)
 E8_IRREP_DIMS = (1, 248, 3875, 30380)
 SQUARE_SUM_MODULI = (256, 27, 25, 7, 11, 13, 17, 19, 23)
+_UNITS = frozenset((-1, 0, 1))
+
+
+def _pack(coeffs, w):
+    """sum coeffs[i] 2^(8wi), its positive and negative parts in w-byte slots."""
+    zero = bytes(w)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 @dataclass(frozen=True)
@@ -75,24 +87,32 @@ class IntegerSeries:
         return IntegerSeries(self.leading, tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other):
+        """The product, exact through the shorter operand's length n: unit
+        rows if one side's n coefficients lie in {-1, 0, 1}, else one multiply
+        over w-byte slots, 8w >= bits(max|a|) + bits(max|b|) + bits(n) + 1,
+        so each coefficient lies inside +-2^(8w-1) and adding 2^(8w-1) to
+        every slot leaves no borrow (Kronecker substitution)."""
         if isinstance(other, int):
             return self.scale(other)
-        lead = self.leading + other.leading
-        through = min(self.known_through + other.leading,
-                      other.known_through + self.leading)
-        n_out = through - lead + 1
-        if n_out <= 0:
+        n = min(len(self.coeffs), len(other.coeffs))
+        if not n:
             raise ValidationError("product truncates to an empty window")
-        a, b = self.coeffs, other.coeffs
-        out = [0] * n_out
-        for i, ai in enumerate(a[:n_out]):
-            if ai:
-                top = min(len(b), n_out - i)
-                if ai in (1, -1):       # the Euler function's rows: add, not multiply
-                    out[i:i + top] = map(add if ai == 1 else sub, out[i:i + top], b[:top])
-                else:
-                    out[i:i + top] = map(add, out[i:i + top], map(mul, repeat(ai), b[:top]))
-        return IntegerSeries(lead, tuple(out))
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        if not _UNITS.issuperset(a):
+            a, b = b, a
+        if _UNITS.issuperset(a):
+            out = [0] * n
+            for i, ai in enumerate(a):
+                if ai:
+                    out[i:] = map(add if ai == 1 else sub, out[i:], b)
+        else:
+            bits = sum(max(map(abs, c)).bit_length() for c in (a, b)) + n.bit_length() + 1
+            w = -(-bits // 8)
+            half = 1 << 8 * w - 1       # the offset: half in each of the low n slots
+            x = _pack(a, w) * _pack(b, w) + int.from_bytes(half.to_bytes(w, "little") * n, "little")
+            raw = (x & (1 << 8 * w * n) - 1).to_bytes(w * n, "little")
+            out = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+        return IntegerSeries(self.leading + other.leading, tuple(out))
 
     def eq_through(self, other, through):
         lo = min(self.leading, other.leading)

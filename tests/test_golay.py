@@ -1,8 +1,10 @@
 """Golay code: weight enumeration, Steiner system, Mathieu chain."""
 
+import random
 import sys
 import threading
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,7 @@ from fsg.errors import InternalDefectError
 from fsg.golay import (
     GOLAY_WEIGHT_DISTRIBUTION,
     INFINITY,
-    apply_permutation_to_word,
+    LENGTH,
     build_golay,
     conway_delta,
     is_code_automorphism,
@@ -21,6 +23,30 @@ from fsg.golay import (
     psl2_23_generators,
 )
 from fsg.perms import PermGroup, Permutation
+
+
+def apply_permutation_to_word(perm, word):
+    """The per-bit reference: move each set bit i of word to perm(i)."""
+    out = 0
+    for i in range(LENGTH):
+        if word >> i & 1:
+            out |= 1 << perm(i)
+    return out
+
+
+class RecordingWords:
+    """A codeword set that records each image looked up in it."""
+
+    def __init__(self, words, accept_all=False):
+        self.words, self.members = list(words), set(words)
+        self.accept_all, self.lookups = accept_all, []
+
+    def __iter__(self):
+        return iter(self.words)
+
+    def __contains__(self, image):
+        self.lookups.append(image)
+        return self.accept_all or image in self.members
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +123,32 @@ def test_m24_refuses_a_generator_inside_psl(monkeypatch):
 def test_non_automorphism_detected(code):
     transposition = Permutation.from_cycles(24, [(0, 1)])
     assert not is_code_automorphism(code, transposition)
+
+
+def _table_test_perms():
+    rng = random.Random(2026)
+    named = dict(zip(("shift", "inverse"), psl2_23_generators()),
+                 delta=conway_delta(), transposition=Permutation.from_cycles(24, [(0, 1)]))
+    return named | {f"random{i}": Permutation(rng.sample(range(24), 24)) for i in range(5)}
+
+
+@pytest.mark.parametrize("name", _table_test_perms())
+def test_byte_tables_move_words_as_the_per_bit_reference(code, name):
+    # every image the check looks up, on all codewords and on random 24-bit
+    # words, is the one the per-bit loop gives
+    perm = _table_test_perms()[name]
+    rng = random.Random(name)
+    for words in (code.codewords(), [rng.getrandbits(24) for _ in range(4096)]):
+        record = RecordingWords(words, accept_all=True)
+        assert is_code_automorphism(SimpleNamespace(codeword_set=record), perm)
+        assert record.lookups == [apply_permutation_to_word(perm, w) for w in words]
+
+
+def test_automorphism_check_looks_up_every_codeword(code):
+    for g in psl2_23_generators() + [conway_delta()]:
+        record = RecordingWords(code.codeword_set)
+        assert is_code_automorphism(SimpleNamespace(codeword_set=record), g)
+        assert len(record.lookups) == 4096 == len(set(record.lookups))
 
 
 def test_m24_order_and_stabilizers(chain):

@@ -1,5 +1,6 @@
 """Integer q-series arithmetic and the moonshine identities."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
@@ -55,6 +56,54 @@ def test_series_associativity_random(xs, ys, zs):
     lhs = (a * b) * c
     rhs = a * (b * c)
     assert lhs.eq_through(rhs, min(lhs.known_through, rhs.known_through))
+
+
+def _schoolbook(a, b):
+    """The reference product: each coefficient summed term by term."""
+    n = min(len(a.coeffs), len(b.coeffs))
+    return IntegerSeries(a.leading + b.leading, tuple(
+        sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)) for k in range(n)))
+
+
+def test_product_at_the_slot_width_bound():
+    # all-equal series of +-m, m = 2^k - 1: coefficient i of the product is
+    # +-m^2 (i + 1), the largest an (i + 1)-term sum of such factors reaches
+    for k in range(1, 97):
+        m = 2 ** k - 1
+        for length in (1, 2, 3, 5, 17, 64, 255, 256, 257):
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                prod = (IntegerSeries(0, (sa * m,) * length)
+                        * IntegerSeries(0, (sb * m,) * length))
+                want = tuple(sa * sb * m * m * (i + 1) for i in range(length))
+                assert prod.coeffs == want, (k, length, sa, sb)
+
+
+def _random_coeffs(rng, kind, length):
+    def wide():
+        return rng.choice((-1, 1)) * rng.getrandbits(300)
+    draw = {"unit": lambda: rng.choice((-1, 0, 1)),
+            "small": lambda: rng.randint(-9, 9),
+            "wide": wide,
+            "mixed": lambda: rng.choice((0, 0, 1, -1, rng.randint(-99, 99), wide()))}[kind]
+    return tuple(draw() for _ in range(length))
+
+
+@pytest.mark.parametrize("kinds", [
+    ("unit", "unit"), ("unit", "small"), ("small", "unit"), ("wide", "unit"),
+    ("unit", "mixed"), ("small", "small"), ("small", "wide"), ("wide", "mixed"),
+    ("mixed", "mixed"), ("mixed", "wide")], ids="-".join)
+def test_product_against_the_schoolbook_sum(kinds):
+    # both paths and the unit operand on either side; `tail` adds three wide
+    # coefficients, which the product cuts off when the other side is shorter
+    rng = random.Random("-".join(kinds))
+    for _ in range(60):
+        la, lb = rng.randint(1, 40), rng.randint(1, 40)
+        a = IntegerSeries(rng.randint(-2, 2), _random_coeffs(rng, kinds[0], la))
+        b = IntegerSeries(rng.randint(-2, 2), _random_coeffs(rng, kinds[1], lb))
+        tail = IntegerSeries(a.leading, a.coeffs + _random_coeffs(rng, "wide", 3))
+        for x, y in ((a, b), (b, a), (tail, b), (b, tail)):
+            got, want = x * y, _schoolbook(x, y)
+            assert (got.leading, got.coeffs) == (want.leading, want.coeffs)
 
 
 def test_inverse_and_exact_div():
