@@ -1,6 +1,6 @@
 """Dense Cayley-table view of a small permutation group.
 
-Several consumers (automorphism search, semidirect validation) want the
+Several consumers (the automorphism search and holomorphs) want the
 group as indexed elements with an integer multiplication table; this is
 only sensible for small orders, so the builder enforces a bound.
 """

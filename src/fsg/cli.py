@@ -250,13 +250,16 @@ def _cmd_sporadic(args):
 def _cmd_verify_all(args):
     from .verify import acceptance_checks
     results = acceptance_checks()
-    width = max(len(r["name"]) for r in results)
-    for r in results:
-        status = "pass" if r["passed"] else "FAIL"
-        print(f"{r['name']:<{width}}  {status}  ({r['seconds']:.2f}s)  {r['detail']}")
-    failed = [r for r in results if not r["passed"]]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return None if not failed else EXIT_DEFECT
+    passed = sum(r["passed"] for r in results)
+    if args.format == "json":
+        _emit({"checks": results, "passed": passed, "total": len(results)}, "json")
+    else:
+        width = max(len(r["name"]) for r in results)
+        for r in results:
+            status = "pass" if r["passed"] else "FAIL"
+            print(f"{r['name']:<{width}}  {status}  ({r['seconds']:.2f}s)  {r['detail']}")
+        print(f"{passed}/{len(results)} checks passed")
+    return None if passed == len(results) else EXIT_DEFECT
 
 
 @functools.cache

@@ -649,12 +649,13 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of G containing the seed permutations."""
     gens = [s for s in seeds if not s.is_identity()]
     K = PermGroup(G.degree, gens, _within=G)
-    while True:
+    while K.order() != G.order():
         new = [c for k in gens for g in G.generators if (c := g * k * g.inverse()) not in K]
         if not new:
-            return K
+            break
         gens.extend(new)
         K = PermGroup(G.degree, gens, _within=G)
+    return K
 
 
 def structure_report(G: PermGroup):

@@ -1,9 +1,10 @@
 """The acceptance suite: every headline numeric fact, machine-checked.
 
-Each check returns (name, passed, detail); `fsg verify-all` prints one
-line per check and fails the process if any fails.  The checks are pure
-recomputation: no tolerance appears anywhere, every comparison is exact
-integer or exact structural equality.
+Each check returns (name, passed, detail); `fsg verify-all` prints them
+as one JSON object, or one line per check under `--format text`, and
+fails the process if any fails.  The checks are pure recomputation: no
+tolerance appears anywhere, every comparison is exact integer or exact
+structural equality.
 """
 
 from __future__ import annotations
@@ -171,11 +172,10 @@ def _check_character_tables():
 
 
 def _check_20160():
-    from .matgroups import projective_action
     from .perms import element_order_histogram
-    from .zoo import alternating
+    from .zoo import alternating, construct_named
     a8 = alternating(8)
-    psl34 = projective_action("PSL", 3, make_field(2, 2))
+    psl34 = construct_named("psl3", 4)
     h8 = element_order_histogram(a8)
     h34 = element_order_histogram(psl34)
     ok = a8.order() == psl34.order() == 20160
@@ -187,9 +187,8 @@ def _check_20160():
 
 def _suite_groups():
     """The named groups the structural property checks run over."""
-    from .matgroups import projective_action
-    from .zoo import (alternating, clifford, cyclic, dicyclic, dihedral,
-                      frobenius21, quaternion, symmetric, vierergruppe)
+    from .zoo import (alternating, clifford, construct_named, cyclic, dicyclic,
+                      dihedral, frobenius21, quaternion, symmetric, vierergruppe)
     groups = {
         "Z2": cyclic(2), "Z3": cyclic(3), "Z5": cyclic(5), "Z7": cyclic(7),
         "Z11": cyclic(11), "Z12": cyclic(12), "V": vierergruppe(),
@@ -199,10 +198,10 @@ def _suite_groups():
         "D4": dihedral(4), "D6": dihedral(6), "D7": dihedral(7),
         "Q": quaternion(), "Q3": dicyclic(3), "Gamma_3": clifford(3),
         "Gamma_4": clifford(4), "G21": frobenius21(),
-        "PSL_2(7)": projective_action("PSL", 2, make_field(7)),
-        "SL_2(8)": projective_action("PSL", 2, make_field(2, 3)),
-        "PSL_2(11)": projective_action("PSL", 2, make_field(11)),
-        "PGL_2(9)": projective_action("PGL", 2, make_field(3, 2)),
+        "PSL_2(7)": construct_named("psl2", 7),
+        "SL_2(8)": construct_named("psl2", 8),
+        "PSL_2(11)": construct_named("psl2", 11),
+        "PGL_2(9)": construct_named("pgl2", 9),
     }
     return groups
 

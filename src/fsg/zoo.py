@@ -1,17 +1,18 @@
-"""Constructors for the named finite-group families, twisted products,
-automorphism groups, the order-<16 catalog, and abelian-group counting.
+"""Constructors for the named finite-group families, direct products, the
+nonabelian groups of order pq, automorphism groups, the order-<16 catalog,
+and abelian-group counting.
 
 Families are realized as faithful permutation groups: cyclic and
 dihedral groups act on the polygon vertices, symmetric and alternating
 groups naturally, and the families without a coded small action
-(dicyclic, Clifford) fall back to their left-regular representation.
-Every constructor certifies the expected order and raises
+(dicyclic, Clifford, order pq) fall back to their left-regular
+representation.  Every constructor certifies the expected order and raises
 InternalDefectError on mismatch, so a returned group is a verified one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
@@ -20,7 +21,7 @@ from .errors import InternalDefectError, ResourceLimitError, ValidationError
 from .fields import factorize, is_prime, make_field, prime_power
 from .matgroups import projective_action
 from .moonshine import euler_function
-from .perms import (PARSE_DEGREE_BOUND, PermGroup, Permutation, center_order,
+from .perms import (PARSE_DEGREE_BOUND, Permutation, center_order,
                     check_chain_images, group_from_generators)
 
 
@@ -243,85 +244,15 @@ def construct_named(name, parameter=None):
 # ----------------------------------------------------------------- products
 
 
-@dataclass(frozen=True)
-class ActionMap:
-    """An action of B on A by automorphisms, one map per B-generator.
-
-    assignment[k] maps A-element indices (into target_elements) to
-    A-element indices and must be an automorphism of A; this is checked
-    exhaustively against A's multiplication table at construction time.
-    That table is kept as structure, for the product that uses the action.
-    """
-
-    target: PermGroup
-    acting: PermGroup
-    assignment: tuple
-    structure: CayleyStructure = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        A = CayleyStructure(self.target)
-        object.__setattr__(self, "structure", A)
-        if len(self.assignment) != len(self.acting.generators):
-            raise ValidationError(
-                "need exactly one automorphism per generator of the acting group")
-        for phi in self.assignment:
-            if sorted(phi) != list(range(A.n)):
-                raise ValidationError("assigned map is not a bijection on the target")
-            if not A.is_automorphism(phi):
-                raise ValidationError("assigned map is not an automorphism of the target")
-
-
-def trivial_action(A, B):
-    n = A.order()
-    return ActionMap(A, B, tuple(tuple(range(n)) for _ in B.generators))
-
-
-def power_action(A, B, k):
-    """Each B-generator acts by x -> x^k; k = -1 is inversion, an
-    automorphism iff A is abelian.  Indices are into A's element list, the
-    order its CayleyStructure uses."""
-    elements = A.element_list()
-    index = {g.images: i for i, g in enumerate(elements)}
-    phi = tuple(index[(g ** k).images] for g in elements)
-    return ActionMap(A, B, tuple(phi for _ in B.generators))
-
-
-def semidirect_product(action: ActionMap) -> PermGroup:
-    """A x| B on |A|*|B| points (pairs of element indices, left translation).
-
-    B = action.acting acts on A = action.target; the trivial action gives
-    the direct product.  Consistency of the generator assignment with B's
-    relations is certified by the order check |A x| B| = |A|*|B|.
-    """
-    ca, cb = action.structure, CayleyStructure(action.acting)
-    na, nb = ca.n, cb.n
-    perms = []
-    for ga in ca.generator_indices():
-        images = [0] * (na * nb)
-        for x in range(na):
-            gx = ca.table[ga][x]
-            for y in range(nb):
-                images[x * nb + y] = gx * nb + y
-        perms.append(Permutation(images))
-    for gb_pos, gb in enumerate(cb.generator_indices()):
-        phi = action.assignment[gb_pos]
-        images = [0] * (na * nb)
-        for x in range(na):
-            px = phi[x]
-            for y in range(nb):
-                images[x * nb + y] = px * nb + cb.table[gb][y]
-        perms.append(Permutation(images))
-    G = group_from_generators(na * nb, perms)
-    if G.order() != na * nb:
-        raise ValidationError(
-            "generator assignment is inconsistent with the acting group's "
-            f"relations: product closed into order {G.order()}, "
-            f"expected {na * nb}")
-    return G
-
-
 def direct_product(A, B):
-    return semidirect_product(trivial_action(A, B))
+    """A x B on the disjoint union of the point sets: A's generators move
+    points 0..A.degree-1 and B's the B.degree points past them."""
+    m, n = A.degree, B.degree
+    gens = [Permutation(a.images + tuple(range(m, m + n))) for a in A.generators]
+    gens += [Permutation(tuple(range(m)) + tuple(m + x for x in b.images))
+             for b in B.generators]
+    return _certify(group_from_generators(m + n, gens), A.order() * B.order(),
+                    "direct_product")
 
 
 # ------------------------------------------------------------- automorphisms
@@ -384,8 +315,7 @@ def holomorph(A):
     """A x| Aut(A) for abelian A, acting faithfully on A's elements."""
     if not A.is_abelian():
         raise ValidationError(
-            "holomorph is provided for abelian groups only; build the "
-            "semidirect product with an explicit action instead")
+            "holomorph is provided for abelian groups only")
     cs, autos = automorphism_perms(A)
     translations = [Permutation(cs.table[g]) for g in cs.generator_indices()]
     maps = [Permutation(phi) for phi in autos]
@@ -396,18 +326,24 @@ def holomorph(A):
 def nonabelian_pq_group(p, q):
     """The nonabelian group of order p*q (p < q primes), when it exists.
 
-    Exists exactly when p divides q-1; realized as Z_q x| Z_p with the
-    deterministic smallest power action of multiplicative order p.
+    Exists exactly when p divides q-1.  Realized as Z_q x| Z_p, regular on
+    the pairs (a, b) with (a, b)(c, d) = (a + k^b c mod q, b + d mod p),
+    for the smallest k of multiplicative order p mod q.
     """
     if not (is_prime(p) and is_prime(q) and p < q):
         raise ValidationError("need primes p < q")
     if (q - 1) % p:
         raise ValidationError(
             f"no nonabelian group of order {p * q}: {p} does not divide {q - 1}")
-    k = next(k for k in range(2, q)
-             if pow(k, p, q) == 1 and all(pow(k, d, q) != 1 for d in range(1, p)))
-    A, B = cyclic(q), cyclic(p)
-    return semidirect_product(power_action(A, B, k))
+    k = next(k for k in range(2, q) if pow(k, p, q) == 1)   # order p: p is prime
+    twist = [pow(k, b, q) for b in range(p)]
+    elements = [(a, b) for a in range(q) for b in range(p)]
+
+    def mult(x, y):
+        return ((x[0] + twist[x[1]] * y[0]) % q, (x[1] + y[1]) % p)
+
+    return _regular_from_table(elements, mult, [(1, 0), (0, 1)], p * q,
+                               f"nonabelian_pq_group({p},{q})")
 
 
 # ------------------------------------------------------------------ counting

@@ -492,6 +492,46 @@ def test_closed_stdout_during_verify_all(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+STUB_CHECKS = [{"name": "order law", "passed": True, "detail": "exact", "seconds": 0.25},
+               {"name": "census", "passed": False, "detail": "5 != 6", "seconds": 1.5}]
+
+
+@pytest.mark.parametrize("checks, code", [(STUB_CHECKS[:1], 0), (STUB_CHECKS, 70)])
+def test_verify_all_prints_one_json_object_by_default(capsys, monkeypatch, checks, code):
+    import fsg.verify
+    monkeypatch.setattr(fsg.verify, "acceptance_checks", lambda: checks)
+    got, out, err = run(capsys, "verify-all")
+    assert (got, err) == (code, "")
+    assert json.loads(out) == {"checks": checks, "passed": 1, "total": len(checks)}
+    assert run(capsys, "--format", "json", "verify-all") == (got, out, err)
+
+
+@pytest.mark.parametrize("checks, code", [(STUB_CHECKS[:1], 0), (STUB_CHECKS, 70)])
+def test_verify_all_prints_its_table_under_format_text(capsys, monkeypatch, checks, code):
+    import fsg.verify
+    monkeypatch.setattr(fsg.verify, "acceptance_checks", lambda: checks)
+    table = ["order law  pass  (0.25s)  exact", "census     FAIL  (1.50s)  5 != 6"]
+    if code == 0:
+        table = ["order law  pass  (0.25s)  exact"]
+    got, out, err = run(capsys, "--format", "text", "verify-all")
+    assert (got, err) == (code, "")
+    assert out == "\n".join(table + [f"1/{len(checks)} checks passed"]) + "\n"
+
+
+def test_closed_stdout_during_verify_all_text(capsys, monkeypatch):
+    import fsg.verify
+    monkeypatch.setattr(fsg.verify, "acceptance_checks", lambda: STUB_CHECKS)
+    write_end = _closed_pipe()
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["--format", "text", "verify-all"]) == 141
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+    assert capsys.readouterr().err == ""
+
+
 PARSER_SEQUENCE = [
     ("orders", "--family", "PSL", "--n", "4", "--q", "3"),
     ("census", "--bound", "10000", "--with-primes"),

@@ -226,6 +226,23 @@ def test_normal_closure():
     assert a.order() == 12
 
 
+def test_normal_closure_stops_at_the_whole_group(monkeypatch):
+    # a closure that already has |G| takes no further conjugation round: one
+    # chain and no membership test, where one more round sifted every
+    # seed-by-generator conjugate only to find nothing new
+    groups = [alt(8), sym(7), projective_action("PSL", 2, make_field(17))]
+    builds, sifts = [], []
+    build, sift = PermGroup._build_chain, PermGroup.sift
+    monkeypatch.setattr(PermGroup, "_build_chain",
+                        lambda self, within: builds.append(1) or build(self, within))
+    monkeypatch.setattr(PermGroup, "sift", lambda self, g: sifts.append(1) or sift(self, g))
+    for G in groups:
+        builds.clear()
+        sifts.clear()
+        assert normal_closure(G, G.generators).order() == G.order()
+        assert (len(builds), len(sifts)) == (1, 0)
+
+
 def test_element_order_histograms():
     z4 = group_from_generators(4, [cyc(4, (0, 1, 2, 3))])
     assert element_order_histogram(z4) == {1: 1, 2: 1, 4: 2}

@@ -6,10 +6,10 @@ import pytest
 
 from fsg.cayley import CayleyStructure
 from fsg.errors import ResourceLimitError, ValidationError
+from fsg.fields import is_prime
 from fsg.perms import conjugacy_classes, closure_order, structure_report
 from fsg.zoo import (
     PARTITION_BOUND,
-    ActionMap,
     automorphism_group,
     clifford,
     construct_named,
@@ -23,12 +23,9 @@ from fsg.zoo import (
     holomorph,
     nonabelian_pq_group,
     partition_count,
-    power_action,
     quaternion,
-    semidirect_product,
     small_group_catalog,
     symmetric,
-    trivial_action,
     vierergruppe,
 )
 
@@ -92,12 +89,10 @@ def test_clifford2_matches_quaternion_invariants():
 
 
 def test_semidirect_products():
-    A, B = cyclic(3), cyclic(2)
-    s3 = semidirect_product(power_action(A, B, -1))
+    s3 = nonabelian_pq_group(2, 3)
     assert s3.order() == 6 and not s3.is_abelian()
 
-    A, B = cyclic(7), cyclic(3)
-    g21 = semidirect_product(power_action(A, B, 2))
+    g21 = nonabelian_pq_group(3, 7)
     assert g21.order() == 21 and not g21.is_abelian()
     # same invariants as the coded frobenius21 realization
     assert conjugacy_classes(g21).class_sizes == \
@@ -107,37 +102,29 @@ def test_semidirect_products():
     assert d.order() == 20 and d.is_abelian()
 
 
-def test_semidirect_rejects_non_automorphism():
-    A, B = cyclic(4), cyclic(2)
-    # transposing two non-inverse elements is no automorphism
-    bad = list(range(4))
-    bad[1], bad[2] = bad[2], bad[1]
-    with pytest.raises(ValidationError, match="automorphism"):
-        ActionMap(A, B, (tuple(bad),))
+def test_nonabelian_pq_invariants():
+    # Z_q x| Z_p for every p | q - 1 with pq < 200: regular on pq points,
+    # centreless, derived subgroup Z_q, and p + (q - 1)/p classes (the
+    # identity, (q - 1)/p classes of Z_q \ 1, and p - 1 classes of size q)
+    primes = [n for n in range(2, 100) if is_prime(n)]
+    pairs = [(p, q) for p in primes for q in primes
+             if p < q and p * q < 200 and (q - 1) % p == 0]
+    assert len(pairs) == 33
+    for p, q in pairs:
+        G = nonabelian_pq_group(p, q)
+        assert (G.degree, G.order(), G.is_abelian()) == (p * q, p * q, False)
+        center, derived, _, _ = structure_report(G)
+        assert (center, derived) == (1, q), (p, q)
+        assert conjugacy_classes(G).num_classes == p + (q - 1) // p, (p, q)
 
 
-def test_inversion_action_requires_abelian_target_for_consistency():
-    A, B = symmetric(3), cyclic(2)
-    with pytest.raises(ValidationError):
-        power_action(A, B, -1)  # x -> x^-1 is not a morphism of S3
-
-
-def test_power_action_matches_the_table_walk():
-    B = cyclic(2)
-    for n in range(3, 13):
-        A = cyclic(n)
-        cs = CayleyStructure(A)
-        inverse = tuple(row.index(cs.identity_index) for row in cs.table)
-        assert power_action(A, B, -1).assignment == (inverse,)
-        for k in (0, n, n + 1, 2 * n + 3):
-            walk = [cs.identity_index] * n         # x -> x^k, one step per power
-            for _ in range(k):
-                walk = [cs.table[w][i] for i, w in enumerate(walk)]
-            if sorted(walk) == list(range(n)):
-                assert power_action(A, B, k).assignment == (tuple(walk),)
-            else:
-                with pytest.raises(ValidationError, match="bijection"):
-                    power_action(A, B, k)
+@pytest.mark.parametrize("A, B", [(cyclic(2), symmetric(3)), (cyclic(4), cyclic(5)),
+                                  (cyclic(2), cyclic(6))], ids=["Z2xS3", "Z4xZ5", "Z2xZ6"])
+def test_direct_product_on_disjoint_points(A, B):
+    G = direct_product(A, B)
+    assert (G.degree, G.order()) == (A.degree + B.degree, A.order() * B.order())
+    assert conjugacy_classes(G).num_classes == \
+        conjugacy_classes(A).num_classes * conjugacy_classes(B).num_classes
 
 
 def test_automorphism_groups():
