@@ -126,11 +126,11 @@ def _non_simple_notes(family, n, q):
     notes = []
     if family == "PSL" and n == 2 and q in (2, 3):
         notes.append(f"PSL_2({q}) is not simple (solvable small case)")
-    if family == "PSp":
-        if n == 1 and q in (2, 3):
-            notes.append(f"PSp_1({q}) = PSL_2({q}) is not simple")
-        if n == 2 and q == 2:
-            notes.append("Sp_2(2) is isomorphic to Sym_6 and is not simple")
+    if family in ("PSp", "POmega_odd") and n == 1 and q in (2, 3):
+        name = "PSp_1" if family == "PSp" else "POmega_3"    # Omega_3(q) = PSL_2(q)
+        notes.append(f"{name}({q}) = PSL_2({q}) is not simple")
+    if family == "PSp" and n == 2 and q == 2:
+        notes.append("Sp_2(2) is isomorphic to Sym_6 and is not simple")
     if family == "PSU" and (n, q) in ((2, 4), (2, 9), (3, 4)):
         notes.append(f"PSU_{n}({q}) is not simple")
     if family == "G2" and q == 2:

@@ -38,10 +38,10 @@ key is a member's images as bytes up to 256 points and as a tuple above,
 and per class its smallest member and its size; the members themselves
 are never wrapped.
 
-Groups are immutable once built.  The element list and the class
-census are filled on first use and kept on the group; threads that
-race on the first use each compute the same value and one is kept, so
-distinct threads may share a group freely.
+Groups are immutable once built.  The class census is filled on first
+use and kept on the group; threads that race on the first use each
+compute the same value and one is kept, so distinct threads may share a
+group freely.
 """
 
 from __future__ import annotations
@@ -286,7 +286,6 @@ class PermGroup:
         self.generators = tuple(gens)
         self.levels = []
         self._identity = tuple(range(self.degree))
-        self._element_list = None
         self._census = None
         self._images = 0          # transversal images stored, against CHAIN_IMAGE_BOUND
         self._build_chain(_within)
@@ -480,11 +479,9 @@ class PermGroup:
         yield from rec(0, self._identity)
 
     def element_list(self):
-        """Sorted element list (cached); refuses above the enumeration bound."""
-        if self._element_list is None:
-            _check_enumerable(self._order)
-            self._element_list = sorted(self.iter_elements(), key=lambda g: g.images)
-        return self._element_list
+        """Sorted element list; refuses above the enumeration bound."""
+        _check_enumerable(self._order)
+        return sorted(self.iter_elements(), key=lambda g: g.images)
 
     def is_abelian(self):
         """True iff the generators commute pairwise.  A pair is compared on

@@ -169,6 +169,10 @@ def test_non_simple_exceptions_flagged():
     assert order_formula(FamilyOrderQuery("PSL", 2, 2)).exceptions
     assert order_formula(FamilyOrderQuery("PSL", 3, 2)).exceptions
     assert order_formula(FamilyOrderQuery("PSp", 2, 2)).exceptions
+    # Omega_3(q) = PSL_2(q) shares PSp_1's row, and its note
+    assert order_formula(FamilyOrderQuery("POmega_odd", 3, 1)).exceptions == (
+        "POmega_3(3) = PSL_2(3) is not simple",)
+    assert not order_formula(FamilyOrderQuery("POmega_odd", 5, 1)).exceptions
     assert order_formula(FamilyOrderQuery("G2", 2)).exceptions
     assert order_formula(FamilyOrderQuery("PSU", 4, 2)).exceptions
     assert not order_formula(FamilyOrderQuery("PSL", 5, 2)).exceptions

@@ -133,6 +133,8 @@ def test_orbit_partition_conjugation_action_of_alt4():
     action = group_from_generators(12, conj_gens)
     sizes = sorted(len(o) for o in action.orbits())
     assert sizes == [1, 3, 4, 4]
+    # the group keeps no element list: each call sorts a new one
+    assert A4.element_list() == els and A4.element_list() is not els
 
 
 def test_transitivity_degrees():
