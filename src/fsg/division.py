@@ -4,11 +4,12 @@ Components are fractions, so norm composition, alternativity and the
 conjugation anti-morphism are all tested as exact equalities.  The
 octonion multiplication table is the oriented-triple (Fano plane)
 convention with lines (1,2,4),(2,3,5),(3,4,6),(4,5,7),(5,6,1),(6,7,2),
-(7,1,3): the orientation is a convention, fixed here once, and the
-table is validated on first use (anticommutativity, unit squares -1,
-alternativity on all basis triples).  The quaternions are the span of
-(1, e1, e2, e4), closed because (1, 2, 4) is a Fano line: i, j, k = e1,
-e2, e4, and both algebras multiply through the one table.
+(7,1,3): the orientation is a convention, fixed here once.  The build
+writes e_x e_y = e_z = -e_y e_x into the 42 off-diagonal slots, complete
+only if each is written once, so unit squares -1 and anticommutativity
+hold; alternativity is checked on first use.  The quaternions are the
+span of (1, e1, e2, e4), closed as (1, 2, 4) is a Fano line: i, j, k =
+e1, e2, e4, and both algebras multiply through the one table.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ def _basis_table(basis):
 
 
 def _validate_octonion_table(table):
-    for i in range(1, 8):
-        if table[i][i] != (0, -1):
-            raise InternalDefectError("basis unit square is not -1")
-        for j in range(1, 8):
-            if i != j:
-                k, s = table[i][j]
-                k2, s2 = table[j][i]
-                if k != k2 or s != -s2:
-                    raise InternalDefectError("table is not anticommutative")
     units = [tuple(1 if t == i else 0 for t in range(8)) for i in range(8)]
     for a in units:
         for b in units:

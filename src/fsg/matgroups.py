@@ -11,7 +11,7 @@ a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, count, cycle, product, repeat, takewhile
 from math import factorial, gcd, isqrt, log10
 
@@ -193,20 +193,22 @@ def projective_points(spec: FieldSpec, n):
 def _normalize_point(K, v):
     lead = next(c for c in v if c)
     if lead == K.one:
-        return v
+        return tuple(v)
     s = K.pow(lead, K.q - 2)        # 1 / lead
     return tuple(K.mul(s, c) for c in v)
 
 
-def _elementary_point_perm(K, i, j, lam, points, point_index):
-    """The points permuted by x_ij(lam), v_i -> v_i + lam*v_j, for i != j,
-    or by diag(lam, 1, ...), v_0 -> lam*v_0, for i = j = 0."""
-    images = []
-    for v in points:
-        w = list(v)
-        w[i] = K.mul(lam, v[i]) if i == j else K.add(v[i], K.mul(lam, v[j]))
-        images.append(point_index[_normalize_point(K, tuple(w))])
-    return Permutation(images)
+def point_action(K, matrices, points):
+    """The permutation of points by v -> M v for each matrix M, its rows
+    codes of K: a point is a code vector whose first nonzero coordinate is
+    1, and each image is scaled to one.  Points not permuted are a defect."""
+    index = {v: i for i, v in enumerate(points)}
+    try:
+        return [Permutation([index[_normalize_point(K, [reduce(K.add, map(K.mul, row, v))
+                                                       for row in M])] for v in points])
+                for M in matrices]
+    except (KeyError, ValidationError) as exc:
+        raise InternalDefectError(f"the matrices do not permute the points: {exc!r}") from exc
 
 
 def projective_action(variant, n, spec: FieldSpec) -> PermGroup:
@@ -216,10 +218,10 @@ def projective_action(variant, n, spec: FieldSpec) -> PermGroup:
     out scalars automatically; the result is certified by matching the
     chain order against the closed-form order.
 
-    The generators are the transvections x_ij(1) and x_ij(g) for a
-    multiplicative generator g of F_q, plus diag(g, 1, ...) for PGL.  They
-    generate SL_n(q): for n = 3 the commutators [x_ij(a), x_jk(b)] =
-    x_ik(ab) give every x_ik(lambda) with lambda in F_p[g] = F_q, and for
+    The generators are the transvections x_ij(1) and x_ij(g), I + lambda
+    E_ij, for a multiplicative generator g of F_q, plus diag(g, 1, ...) for
+    PGL.  They generate SL_n(q): for n = 3 the commutators [x_ij(a), x_jk(b)]
+    = x_ik(ab) give every x_ik(lambda) with lambda in F_p[g] = F_q, and for
     n = 2 Dickson's generation theorem covers every q != 9, where the
     order check passes as well.  A miss raises InternalDefectError.
     """
@@ -234,9 +236,6 @@ def projective_action(variant, n, spec: FieldSpec) -> PermGroup:
                                  f"the fixed bound {PROJECTIVE_POINT_BOUND}")
     K = spec.codes
     points = projective_points(spec, n)
-    if len(points) != num_points:
-        raise InternalDefectError("projective point count mismatch")
-    point_index = {v: i for i, v in enumerate(points)}
 
     # |PGL_n(q)| = |SL_n(q)|
     family = "SL" if variant == "PGL" else "PSL"
@@ -246,9 +245,10 @@ def projective_action(variant, n, spec: FieldSpec) -> PermGroup:
     maps = [(i, j, lam) for i in range(n) for j in range(n) if i != j
             for lam in sorted({K.one, gen})]
     if variant == "PGL" and q > 2:
-        maps.append((0, 0, gen))
-    perms = [_elementary_point_perm(K, *m, points, point_index) for m in maps]
-    G = group_from_generators(num_points, perms)
+        maps.append((0, 0, gen))            # diag(g, 1, ...)
+    matrices = [[[lam if (r, c) == (i, j) else K.one * (r == c) for c in range(n)]
+                 for r in range(n)] for i, j, lam in maps]
+    G = group_from_generators(len(points), point_action(K, matrices, points))
     if G.order() != expected:
         raise InternalDefectError(
             f"{variant}_{n}({q}): generated order {G.order()}, expected {expected}")

@@ -275,7 +275,7 @@ def monster_constant_checks():
     out = [
         ("monster order has 54 decimal digits", len(str(order)), 54),
         ("divisible by 71", order % 71, 0),
-        ("196883 = 47 * 59 * 71", 196883, 47 * 59 * 71),
+        ("196883 = 47 * 59 * 71", MONSTER_IRREP_DIMS[1], 47 * 59 * 71),
     ] + [(f"not divisible by {p}", 1 if order % p else 0, 1) for p in MONSTER_MISSING_PRIMES]
     return [{"identity": n, "lhs": l, "rhs": r, "pass": l == r} for n, l, r in out]
 

@@ -189,6 +189,20 @@ def test_split_spaces_are_in_reduced_echelon_form(monkeypatch):
         assert all(not any(row[:p]) for row, p in zip(basis, pivots))
 
 
+def test_a_raised_degree_fails_the_first_column(monkeypatch):
+    # the degree squares are not summed apart: the first column is the
+    # degrees, and its orthogonality entry is sum d^2 = |G|
+    row_sort = characters._row_sort
+
+    def raised(degrees, rows, m):
+        degrees, rows = row_sort(degrees, rows, m)
+        return degrees[:-1] + (degrees[-1] + 1,), rows
+
+    monkeypatch.setattr(characters, "_row_sort", raised)
+    with pytest.raises(InternalDefectError, match="first column does not equal the degrees"):
+        character_table(symmetric(3))
+
+
 def test_character_bound():
     with pytest.raises(ResourceLimitError, match="fixed bound"):
         character_table(symmetric(6))

@@ -22,7 +22,7 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from fsg.fields import make_field, multiplicative_generator, prime_power
 from fsg.golay import mathieu_m24
-from fsg.matgroups import projective_action
+from fsg.matgroups import FamilyOrderQuery, order_formula, projective_action
 from fsg.perms import (PermGroup, Permutation, center_order, conjugacy_classes,
                         structure_report, transitivity_degree)
 from fsg.zoo import PARTITION_BOUND, partition_count
@@ -183,3 +183,20 @@ def test_m24_orders_match_sympy():
     M23 = G.stabilizer(0)
     assert M23.order() == 10200960
     assert M23.stabilizer(1).order() == 443520
+
+
+PROJECTIVE_CASES = [(variant, 2, q) for q in range(2, 50) if prime_power(q)
+                    for variant in ("PSL", "PGL")]
+PROJECTIVE_CASES += [(variant, 3, q) for q in range(2, 6) for variant in ("PSL", "PGL")]
+
+
+def test_projective_orders_match_the_formula_and_sympy():
+    # the chain order, the closed form (|PGL_n(q)| = |SL_n(q)|) and sympy's
+    # order of the same generators, for every q < 50 at n = 2 and q <= 5 at n = 3
+    assert len(PROJECTIVE_CASES) == 54
+    for variant, n, q in PROJECTIVE_CASES:
+        G = projective_action(variant, n, make_field(*prime_power(q)))
+        family = "SL" if variant == "PGL" else "PSL"
+        closed = order_formula(FamilyOrderQuery(family, q, n)).order
+        theirs = SymGroup([SymPerm(list(g.images)) for g in G.generators]).order()
+        assert G.order() == closed == theirs, (variant, n, q)

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from fsg import division
 from fsg.division import (
     FANO_LINES,
     PROBE_SAMPLE_BOUND,
@@ -16,7 +17,7 @@ from fsg.division import (
     random_octonion,
     random_quaternion,
 )
-from fsg.errors import ResourceLimitError, ValidationError
+from fsg.errors import InternalDefectError, ResourceLimitError, ValidationError
 
 
 def quat(*vals):
@@ -81,6 +82,17 @@ def test_octonion_table_structure():
                 k, s = table[i][j]
                 assert 1 <= k <= 7
                 assert table[j][i] == (k, -s)
+
+
+@pytest.mark.parametrize("last", [(7, 1, 2), (7, 7, 3), (7, 1, 0)])
+def test_a_wrong_fano_line_leaves_the_table_incomplete(monkeypatch, last):
+    # unit squares and anticommutativity are not checked apart: 42 writes
+    # fill the 42 off-diagonal slots only if each is written once, in pairs
+    # e_x e_y = -e_y e_x; a line that rewrites a slot, a diagonal or row 0
+    # leaves one empty
+    monkeypatch.setattr(division, "FANO_LINES", FANO_LINES[:-1] + (last,))
+    with pytest.raises(InternalDefectError, match="octonion table is incomplete"):
+        division._build_octonion_table()
 
 
 def test_octonion_anti_associative_triple():

@@ -10,7 +10,8 @@ import pytest
 
 import fsg.golay as golay_mod
 from fsg.division import octonion_table
-from fsg.errors import InternalDefectError
+from fsg.errors import InternalDefectError, ResourceLimitError
+from fsg.fields import make_field
 from fsg.golay import (
     GOLAY_WEIGHT_DISTRIBUTION,
     INFINITY,
@@ -99,6 +100,37 @@ def test_psl_generators_are_automorphisms(code):
     assert is_code_automorphism(code, shift)
     assert is_code_automorphism(code, inv)
     assert PermGroup(24, [shift, inv]).order() == 6072  # PSL_2(23)
+
+
+def test_psl_generators_match_mod_23_arithmetic():
+    # the reference: x -> x + 1 and x -> -1/x on the residues, with
+    # infinity = 23 fixed by the first and swapped with 0 by the second
+    shift = [(x + 1) % 23 for x in range(23)] + [INFINITY]
+    inverse = [INFINITY] + [-pow(x, -1, 23) % 23 for x in range(1, 23)] + [0]
+    assert [list(g.images) for g in psl2_23_generators()] == [shift, inverse]
+
+
+def test_m24_builds_under_a_small_field_bound(monkeypatch):
+    # F_23 is built directly, as a lifting prime is: the field-size setting
+    # bounds make_field only
+    monkeypatch.setenv("FSG_MAX_FIELD_SIZE", "16")
+    with pytest.raises(ResourceLimitError):
+        make_field(23)
+    mathieu_m24.cache_clear()
+    try:
+        assert mathieu_m24().order == 244823040
+    finally:
+        mathieu_m24.cache_clear()
+
+
+def test_a_flipped_bit_fails_the_weight_distribution(monkeypatch):
+    # self-duality is not checked apart: rank 12 and weights 0 mod 4 force it,
+    # and a word with one bit flipped fails the weights
+    row_reduce = golay_mod._gf2_row_reduce
+    monkeypatch.setattr(golay_mod, "_gf2_row_reduce",
+                        lambda rows: [w ^ (k == 0) for k, w in enumerate(row_reduce(rows))])
+    with pytest.raises(InternalDefectError, match="weight distribution is wrong"):
+        build_golay.__wrapped__()
 
 
 def test_conway_delta_is_an_automorphism_outside_psl(code):

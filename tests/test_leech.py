@@ -11,7 +11,6 @@ import fsg.leech as leech_mod
 from fsg.errors import InternalDefectError, ValidationError
 from fsg.golay import build_golay
 from fsg.leech import (
-    KISSING_NUMBER,
     LatticeShapeCount,
     _is_leech_vector,
     kissing_number_consistency,
@@ -109,8 +108,16 @@ def test_shape_counts(counts):
     assert all(isinstance(c, LatticeShapeCount) and c.norm == 4 for c in counts)
 
 
+def test_a_wrong_closed_form_fails_the_shape_comparison(monkeypatch):
+    # the total is not compared with 196560 apart: each closed form is
+    # compared with its enumeration; here 4 * C(24, 2) becomes 3 * C(24, 2)
+    monkeypatch.setattr(leech_mod, "comb", lambda n, k: 3 * comb(n, k) // 4)
+    with pytest.raises(InternalDefectError, match="shape counts disagree"):
+        leech_minimal_vectors()
+
+
 def test_total_is_kissing_number(counts):
-    assert sum(c.count for c in counts) == KISSING_NUMBER == 196560
+    assert sum(c.count for c in counts) == 196560
 
 
 def test_zero_vector_excluded():
@@ -185,7 +192,7 @@ def test_kernel_matches_literal_rule_on_every_candidate(monkeypatch):
         assert _is_leech_vector(*encoded, words) == verdict, x
         fed[encoded] += 1
         accepted += verdict
-    assert accepted == KISSING_NUMBER + 2 ** 11
+    assert accepted == 196560 + 2 ** 11
     assert seen == fed       # the census fed the kernel exactly these vectors
 
 

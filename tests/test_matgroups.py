@@ -1,5 +1,6 @@
 """Order formulas, projective actions, census, identifications."""
 
+import hashlib
 import re
 import time
 from collections import Counter
@@ -203,6 +204,74 @@ def test_projective_action_certifies_its_generators(monkeypatch):
     monkeypatch.setattr(matgroups, "multiplicative_generator", lambda spec: spec.one())
     with pytest.raises(InternalDefectError, match="generated order 6, expected 60"):
         projective_action("PSL", 2, make_field(2, 2))
+
+
+# sha256 of repr([g.images for g in G.generators]), first 16 hex digits,
+# recorded from the construction that permuted the points transvection by
+# transvection, before point_action took its place
+GENERATOR_DIGESTS = {
+    ("PSL", 2, 2): "3327de8a5af0dec6",
+    ("PGL", 2, 2): "3327de8a5af0dec6",
+    ("PSL", 2, 3): "bdc9d2f66a2a4998",
+    ("PGL", 2, 3): "cf099cbc0930a495",
+    ("PSL", 2, 4): "ec8702a88d115a80",
+    ("PGL", 2, 4): "9de2fb5271c343f0",
+    ("PSL", 2, 5): "c0db20a9b49ef144",
+    ("PGL", 2, 5): "50aaffcd5d696e3f",
+    ("PSL", 2, 7): "b54d7e554e07cd76",
+    ("PGL", 2, 7): "c9b54e8a223a1076",
+    ("PSL", 2, 8): "0ffd0c9100afe027",
+    ("PGL", 2, 8): "ece830d6946d5692",
+    ("PSL", 2, 9): "733f488e2ac3bbb2",
+    ("PGL", 2, 9): "bca352cd2b6f126f",
+    ("PSL", 2, 16): "b635b257faab8efa",
+    ("PGL", 2, 16): "2686e1e59d32316c",
+    ("PSL", 2, 25): "2c90049ef47dc499",
+    ("PGL", 2, 25): "6871fbb540613503",
+    ("PSL", 2, 27): "f70de74c1fab9a0a",
+    ("PGL", 2, 27): "1f63c76683584aa9",
+    ("PSL", 2, 49): "bd64abd38587d49e",
+    ("PGL", 2, 49): "ddde0e8e838ff0b2",
+    ("PSL", 3, 2): "3eb233d4f7c7ca25",
+    ("PGL", 3, 2): "3eb233d4f7c7ca25",
+    ("PSL", 3, 3): "cfe2a7e535fec149",
+    ("PGL", 3, 3): "0ecc547eb81c1947",
+    ("PSL", 3, 4): "986274f741e7cd18",
+    ("PGL", 3, 4): "53f30e62f84a6ba4",
+    ("PSL", 3, 5): "f19befd397f888f2",
+    ("PGL", 3, 5): "89c2cb8c6cda3292",
+}
+
+
+@pytest.mark.parametrize("variant, n, q", list(GENERATOR_DIGESTS))
+def test_projective_generators_are_pinned(variant, n, q):
+    G = projective_action(variant, n, make_field(*prime_power(q)))
+    images = repr([g.images for g in G.generators]).encode()
+    assert hashlib.sha256(images).hexdigest()[:16] == GENERATOR_DIGESTS[variant, n, q]
+
+
+def test_point_action_of_a_transvection():
+    # x_01(2) = [[1, 2], [0, 1]] on PG(1, 5), against v -> (v_0 + 2 v_1, v_1)
+    # scaled by plain mod-5 arithmetic
+    K = make_field(5).codes
+    points = matgroups.projective_points(make_field(5), 2)
+    [perm] = matgroups.point_action(K, [[[1, 2], [0, 1]]], points)
+    for v, image in zip(points, perm.images):
+        w = ((v[0] + 2 * v[1]) % 5, v[1])
+        lead = next(c for c in w if c)
+        assert points[image] == tuple(c * pow(lead, -1, 5) % 5 for c in w)
+
+
+@pytest.mark.parametrize("wrong", [lambda pts: pts[:-1], lambda pts: pts + pts[:1]],
+                         ids=["point missing", "point repeated"])
+def test_a_wrong_point_list_is_an_internal_defect(monkeypatch, wrong):
+    # the point count is not compared with (q^n - 1)/(q - 1): a wrong list
+    # fails in point_action as an internal defect, never as bad input
+    points = matgroups.projective_points
+    monkeypatch.setattr(matgroups, "projective_points",
+                        lambda spec, n: wrong(points(spec, n)))
+    with pytest.raises(InternalDefectError, match="do not permute the points"):
+        projective_action("PSL", 2, make_field(5))
 
 
 def test_projective_point_count():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsg import moonshine
 from fsg.errors import InternalDefectError, ResourceLimitError, ValidationError
 from fsg.moonshine import (
     SQUARE_SUM_MODULI,
@@ -291,6 +292,15 @@ def test_monster_constants():
     assert all(c["pass"] for c in monster_constant_checks())
     # magnitude close to 8 * 10^53
     assert 8 * 10 ** 53 < order < 8.1 * 10 ** 53
+
+
+def test_the_196883_row_reads_the_irrep_dimension(monkeypatch):
+    # the row compares the dimension moonshine_decompositions reads, so a
+    # wrong MONSTER_IRREP_DIMS fails it
+    dims = moonshine.MONSTER_IRREP_DIMS
+    monkeypatch.setattr(moonshine, "MONSTER_IRREP_DIMS", (1, 196884) + dims[2:])
+    row = next(c for c in monster_constant_checks() if c["identity"].startswith("196883"))
+    assert row["lhs"] == 196884 and not row["pass"]
 
 
 def test_sum_of_squares():

@@ -1,11 +1,12 @@
 """Every public module-level function and class in src/fsg, every private
-module-level function there (dunders aside), and every public method of a
-class there, is used somewhere in src/fsg or bench outside its own
-definition.  A name that only its unit tests call is dead code: delete it,
-or give it a caller."""
+module-level function there (dunders aside), every public method of a
+class there, and every module-level UPPER_CASE constant there, is used
+somewhere in src/fsg or bench outside its own definition.  A name that
+only its unit tests use is dead code: delete it, or give it a user."""
 
 import ast
 import pathlib
+import re
 import sys
 from collections import Counter
 
@@ -46,6 +47,23 @@ def test_every_public_name_has_a_caller():
     dead = [f"{path.name}:{label}" for path, i, label, name, own in public
             if not any(names[name] > (own[name] if key == (path, i) else 0)
                        for key, names in uses.items())]
+    assert dead == []
+
+
+def test_every_constant_has_a_user():
+    # a constant is a module-level assignment to an UPPER_CASE name, with or
+    # without a leading underscore; __all__ is not one
+    uses, constants = {}, []
+    for path in FILES:
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            uses[path, i] = Counter(_used_names(stmt))
+            if path in SOURCES and isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                constants += [(path, i, t.id) for t in targets if isinstance(t, ast.Name)
+                              and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+    assert constants                # the scan found the package's constants
+    dead = [f"{path.name}:{name}" for path, i, name in constants
+            if not any(names[name] for key, names in uses.items() if key != (path, i))]
     assert dead == []
 
 
