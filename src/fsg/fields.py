@@ -10,21 +10,20 @@ An element is an int code, its index in :meth:`FieldSpec.elements`: the
 f coefficients (low degree first) read as base-p digits, the constant one
 most significant.  For f = 1 the code is the residue and arithmetic is
 plain int arithmetic mod p.  For f > 1 the polynomial path decodes,
-multiplies and reduces until a field with q <= 2^16 has made q products
-(a power counts each of its products, an add or neg counts one); then it
-builds exp, log and Zech-logarithm tables (K. Huber, IEEE Trans. IT 36,
-1990) and every later operation is a lookup: a caller of fewer than q
-products never pays for the O(q) build, a sweep pays once.  Enumerating
-is what interns elements: the first elements() call of a field with
-q <= 2^16 makes all q, and from then on every result is one of them, so
-arithmetic allocates nothing; a larger field streams them and keeps none.
+multiplies and reduces.  Enumerating marks a field for sweeping: the
+first elements() call of a field with q <= 2^16 builds, for f > 1, exp,
+log and Zech-logarithm tables (K. Huber, IEEE Trans. IT 36, 1990), then
+interns all q elements.  From then on every extension-field operation is
+a lookup and every result is one of the interned elements, so arithmetic
+allocates nothing.  A field never enumerated never pays the O(q) build;
+a larger field streams its elements and keeps none.
 
 Fields and elements are immutable and can be shared between threads.
-The lazy tables and the interned elements are safe: each is complete
-before one attribute assignment publishes it, so a thread sees none (and
-takes the polynomial path, or allocates, with the same answers) or all;
-and products are counted one next() each on an itertools.count, a single
-C call under the interpreter lock, so exactly one thread builds tables.
+The lazy tables and the interned elements are each complete before one
+attribute assignment publishes them, so a thread sees none (and takes
+the polynomial path, or allocates, with the same answers) or all.
+Threads that race the first elements() call build identical tables and
+elements, and whichever assignment comes last stays.
 A copy or pickle of a field carries only (p, f, modulus, q).
 """
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass, field
-from itertools import count
 from itertools import product as _cartesian
 from math import isqrt
 from operator import index, itemgetter, mul
@@ -163,14 +161,14 @@ class _Codes:
 
     def generator(self):
         """The smallest code of multiplicative order q-1: g^((q-1)/r) != 1
-        for every prime r | q-1.  Searched once, then kept; the search's
-        powers are uncounted, so it never starts the table build."""
+        for every prime r | q-1.  Searched once, then kept; during the
+        table build it takes the polynomial path."""
         if self._generator is None:
             n = self.q - 1
             radicals = prime_factors(n)
             self._generator = next(
                 g for g in range(1, self.q)
-                if all(self._pow(g, n // r) != self.one for r in radicals))
+                if all(self.pow(g, n // r) != self.one for r in radicals))
         return self._generator
 
 
@@ -189,11 +187,9 @@ class _PrimeCodes(_Codes):
     def pow(self, x, k):
         return pow(x, k, self.p)
 
-    _pow = pow
-
 
 class _ExtensionCodes(_Codes):
-    """GF(p^f), f > 1: the polynomial path until the tables are built.
+    """GF(p^f), f > 1: the polynomial path until elements() builds tables.
 
     tables is None or (exp, log, zech) for a generator g of order n = q-1:
     exp[i] = g^(i mod n) for i < 2n, then n zeros; log[g^i] = i; and
@@ -206,15 +202,6 @@ class _ExtensionCodes(_Codes):
         self.modulus = modulus
         self.half = 0 if p == 2 else (self.q - 1) // 2     # log of -1
         self.tables = None
-        self._served = count(1)
-
-    def _serve(self, muls=1):
-        """Count muls products on the polynomial path; the q-th builds tables."""
-        if self.q <= TABLE_MAX_SIZE:
-            served = self._served
-            for _ in range(min(muls, self.q)):
-                if next(served) == self.q:
-                    self._build_tables()
 
     def _poly_mul(self, x, y):
         b = self.coeffs(y)
@@ -265,7 +252,6 @@ class _ExtensionCodes(_Codes):
     def add(self, x, y):
         t = self.tables
         if t is None:
-            self._serve()
             p = self.p
             return self.encode([(u + v) % p for u, v in
                                 zip(self.coeffs(x), self.coeffs(y))])
@@ -281,14 +267,12 @@ class _ExtensionCodes(_Codes):
     def neg(self, x):
         t = self.tables
         if t is None:
-            self._serve()
             return self.encode([-u % self.p for u in self.coeffs(x)])
         return x and t[0][t[1][x] + self.half]
 
     def mul(self, x, y):
         t = self.tables
         if t is None:
-            self._serve()
             return self._poly_mul(x, y)
         if not x or not y:
             return 0
@@ -296,8 +280,6 @@ class _ExtensionCodes(_Codes):
         return exp[log[x] + log[y]]
 
     def pow(self, x, k):
-        if self.tables is None:
-            self._serve(k.bit_length() + k.bit_count())     # _pow's products
         t = self.tables
         if t is None:
             return self._pow(x, k)
@@ -358,10 +340,13 @@ class FieldSpec:
         return self._of(self.codes.one)
 
     def elements(self):
-        """All q elements, ascending in the canonical coefficient order;
-        up to TABLE_MAX_SIZE the first call interns them."""
+        """All q elements, ascending in the canonical coefficient order.
+        Up to TABLE_MAX_SIZE the first call builds an extension field's
+        tables, then interns the elements: the only switch to lookups."""
         els = self._els
         if els is None and self.q <= TABLE_MAX_SIZE:
+            if self.f > 1:
+                self.codes._build_tables()
             els = tuple(map(self._of, range(self.q)))
             object.__setattr__(self, "_els", els)
         return map(self._of, range(self.q)) if els is None else iter(els)

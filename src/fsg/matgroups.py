@@ -16,7 +16,7 @@ from itertools import chain, count, cycle, product, repeat, takewhile
 from math import factorial, gcd, isqrt, log10
 
 from .errors import InternalDefectError, ResourceLimitError, ValidationError
-from .fields import FieldSpec, is_prime, multiplicative_generator, prime_power
+from .fields import FieldSpec, multiplicative_generator, prime_power
 from .perms import PermGroup, Permutation, group_from_generators
 
 PROJECTIVE_POINT_BOUND = 5000
@@ -184,10 +184,11 @@ def order_formula(query: FamilyOrderQuery) -> OrderResult:
 
 def projective_points(spec: FieldSpec, n):
     """Points of PG(n-1, q) as code vectors scaled so the first nonzero
-    coordinate is 1, sorted lexicographically."""
-    one = spec.codes.one
+    coordinate is 1, sorted lexicographically.  Reading the coordinates off
+    spec.elements() enumerates the field, so the action's products are lookups."""
+    one, coords = spec.codes.one, [a.code for a in spec.elements()]
     return sorted((0,) * k + (one,) + rest for k in range(n)
-                  for rest in product(range(spec.q), repeat=n - k - 1))
+                  for rest in product(coords, repeat=n - k - 1))
 
 
 def _normalize_point(K, v):
@@ -352,7 +353,7 @@ def simple_census(bound):
 
 def census_table(bound):
     """The bounded census with the abelian prime cyclic groups below 10
-    prepended (the printed-table convention)."""
-    abelian = [CensusEntry(p, (f"Z_{p}",)) for p in range(2, 10) if is_prime(p)]
+    and within the bound prepended (the printed-table convention)."""
+    abelian = [CensusEntry(p, (f"Z_{p}",)) for p in (2, 3, 5, 7) if p <= bound]
     return sorted(abelian + list(simple_census(bound)),
                   key=lambda e: (e.order, e.names))

@@ -228,9 +228,7 @@ EXTENSION_Q = [q for q in range(4, 129)
 def _table_and_polynomial(q, monkeypatch):
     """Two specs of GF(q): one switched to tables, one that never switches."""
     table = make_field(*prime_power(q))
-    one = table.one()
-    for _ in range(q):
-        table.mul(one, one)
+    list(table.elements())
     assert table.codes.tables is not None
     monkeypatch.setattr(fields, "TABLE_MAX_SIZE", 0)
     return table, make_field(*prime_power(q))
@@ -263,13 +261,29 @@ def test_tables_match_polynomial_path(q, monkeypatch):
 
 @pytest.mark.parametrize("q", [16, 81, 121])
 def test_same_answers_across_the_table_switch(q):
+    # the polynomial path before elements() builds the tables, lookups after
     F = make_field(*prime_power(q))
     rng = random.Random(q)
-    els = list(F.elements())
-    pairs = [(rng.choice(els), rng.choice(els)) for _ in range(q)]
-    answers = [(F.add(a, b), F.mul(a, b)) for a, b in pairs]
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(q)]
+
+    def answers():
+        els = [F.element(F.codes.coeffs(c)) for c in range(q)]
+        return [(F.add(els[i], els[j]).code, F.mul(els[i], els[j]).code) for i, j in pairs]
+
+    before = answers()
+    assert F.codes.tables is None
+    list(F.elements())
     assert F.codes.tables is not None
-    assert answers == [(F.add(a, b), F.mul(a, b)) for a, b in pairs]
+    assert answers() == before
+
+
+def test_products_never_switch_a_field_that_is_not_enumerated():
+    F = make_field(3, 4)
+    a, b = F.element([1, 2, 0, 1]), F.element([2, 0, 1, 1])
+    for _ in range(10 * F.q):
+        a = F.add(F.mul(a, b), F.one())
+    F.pow(a, 10 * F.q), multiplicative_generator(F)
+    assert F.codes.tables is None and F._els is None
 
 
 def test_table_build_reuses_the_generator(monkeypatch):
@@ -280,26 +294,10 @@ def test_table_build_reuses_the_generator(monkeypatch):
     monkeypatch.setattr(fields, "prime_factors",
                         lambda n: searches.append(n) or prime_factors(n))
     g = multiplicative_generator(F)
-    one = F.one()
-    while F.codes.tables is None:
-        F.mul(one, one)
+    list(F.elements())
     assert searches == [120]
     assert F.codes.tables[0][1] == g.code
     assert multiplicative_generator(F) == g and searches == [120]
-
-
-def test_powers_count_their_multiplications_toward_the_table_switch(monkeypatch):
-    # frobenius_order takes only powers x^11, seven polynomial multiplications
-    # each; the tables come before the (q+1)-th of them, not the q-th power
-    F = make_field(11, 2)
-    K = F.codes
-    muls, builds = [], []
-    poly_mul, build = K._poly_mul, K._build_tables
-    monkeypatch.setattr(K, "_poly_mul", lambda x, y: muls.append(1) or poly_mul(x, y))
-    monkeypatch.setattr(K, "_build_tables", lambda: builds.append(len(muls)) or build())
-    assert frobenius_order(F) == 2
-    assert len(builds) == 1 and builds[0] <= F.q
-    assert K.tables is not None
 
 
 def test_elements_are_immutable_values():
@@ -406,12 +404,15 @@ def test_interned_elements_answer_as_fresh_ones(q):
         assert multiplicative_generator(G) is els[G.codes.generator()]
 
 
-@pytest.mark.parametrize("q", [2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1])
+@pytest.mark.parametrize("q", [7, 16, 81, 243, 2 ** 16, 2 ** 16 + 1, 2 ** 17 - 1])
 def test_elements_are_kept_only_up_to_the_table_bound(q):
+    # enumerating is what builds an extension field's tables, up to the bound
     F = make_field(*prime_power(q))
+    assert getattr(F.codes, "tables", None) is None
     assert sum(1 for _ in F.elements()) == q
     kept = F._els is not None
     assert kept == (q <= fields.TABLE_MAX_SIZE)
+    assert (getattr(F.codes, "tables", None) is not None) == (kept and F.f > 1)
     one = F.one()
     assert (F.add(one, one) is F.add(one, one)) == kept
 

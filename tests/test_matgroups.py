@@ -275,10 +275,14 @@ def test_a_wrong_point_list_is_an_internal_defect(monkeypatch, wrong):
 
 
 def test_projective_point_count():
-    for n, q, f in ((2, 7, 1), (3, 3, 1), (2, 9, 2)):
-        p = {7: 7, 3: 3, 9: 3}[q]
-        g = projective_action("PSL", n, make_field(p, f))
-        assert g.degree == (q ** n - 1) // (q - 1)
+    # the points' coordinates come from elements(), which builds an extension
+    # field's tables, so the point action's products are lookups
+    for n, p, f in ((2, 7, 1), (3, 3, 1), (2, 3, 2), (2, 2, 4)):
+        F = make_field(p, f)
+        g = projective_action("PSL", n, F)
+        assert g.degree == (F.q ** n - 1) // (F.q - 1)
+        assert F._els is not None
+        assert (getattr(F.codes, "tables", None) is not None) == (f > 1)
 
 
 def test_projective_bound():
@@ -309,6 +313,12 @@ def test_census_small_bounds():
     table = census_table(10000)
     assert len(table) == 20
     assert [e.order for e in table[:5]] == [2, 3, 5, 7, 60]
+
+
+@pytest.mark.parametrize("bound, orders", [(-1, []), (0, []), (1, []), (2, [2]),
+                                           (5, [2, 3, 5]), (60, [2, 3, 5, 7, 60])])
+def test_census_table_keeps_the_primes_within_the_bound(bound, orders):
+    assert [e.order for e in census_table(bound)] == orders
 
 
 def test_census_20160_split():

@@ -1,8 +1,9 @@
 """Every public module-level function and class in src/fsg, every private
-module-level function there (dunders aside), every public method of a
-class there, and every module-level UPPER_CASE constant there, is used
-somewhere in src/fsg or bench outside its own definition.  A name that
-only its unit tests use is dead code: delete it, or give it a user."""
+module-level function there (dunders aside), every method of a class
+there and every name its class body assigns (dunders aside), and every
+module-level UPPER_CASE constant there, is used somewhere in src/fsg or
+bench outside its own definition.  A name that only its unit tests use is
+dead code: delete it, or give it a user."""
 
 import ast
 import pathlib
@@ -37,16 +38,71 @@ def test_every_public_name_has_a_caller():
             if not stmt.name.startswith("_") or (isinstance(stmt, ast.FunctionDef)
                                                  and not stmt.name.startswith("__")):
                 public.append((path, i, stmt.name, stmt.name, uses[path, i]))
-            if isinstance(stmt, ast.ClassDef):
-                public += [(path, i, f"{stmt.name}.{fn.name}", fn.name,
-                            Counter(_used_names(fn)))
-                           for fn in stmt.body if isinstance(fn, ast.FunctionDef)
-                           and not fn.name.startswith("_")]
     assert public                   # the glob found the package
-    # a method's class statement counts, less the uses inside the method
     dead = [f"{path.name}:{label}" for path, i, label, name, own in public
             if not any(names[name] > (own[name] if key == (path, i) else 0)
                        for key, names in uses.items())]
+    assert dead == []
+
+
+def _owned_uses(node, owner):
+    """Counter of (owner, identifier) for the names node uses: an attribute
+    of self or cls belongs to the class statement it sits in, every other
+    use to None, since it may reach any class."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            out[owner if getattr(n.value, "id", None) in ("self", "cls") else None,
+                n.attr] += 1
+        elif isinstance(n, (ast.Name, ast.alias)):
+            out[None, getattr(n, "id", None) or n.name] += 1
+    return out
+
+
+def _members(cls):
+    """(name, node) of each method and each name the class body assigns."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_class_member_has_a_user():
+    # self.x inside class C reaches only C's ancestors and descendants, so a
+    # member of an unrelated class of the same name does not keep x alive
+    uses, bases, members = {}, {}, []
+    for path in FILES:
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            uses[path, i] = _owned_uses(stmt, owner)
+            if owner:
+                bases[owner] = {getattr(b, "id", None) for b in stmt.bases}
+            if owner and path in SOURCES:
+                members += [(path, i, owner, name, _owned_uses(node, owner))
+                            for name, node in _members(stmt)
+                            if not (name.startswith("__") and name.endswith("__"))]
+    assert members                  # the scan found the package's classes
+
+    def lineage(cls, up):
+        """cls with its ancestors (up) or its descendants (not up)."""
+        found, todo = {cls}, [cls]
+        while todo:
+            c = todo.pop()
+            step = bases.get(c, set()) if up else {d for d, bs in bases.items() if c in bs}
+            todo += step - found
+            found |= step
+        return found
+
+    def used(path, i, cls, name, own):
+        reach = {None} | lineage(cls, True) | lineage(cls, False)
+        return any(n > (own[key] if (p, j) == (path, i) else 0)
+                   for (p, j), counter in uses.items()
+                   for key, n in counter.items() if key[1] == name and key[0] in reach)
+
+    dead = [f"{path.name}:{cls}.{name}" for path, i, cls, name, own in members
+            if not used(path, i, cls, name, own)]
     assert dead == []
 
 
